@@ -69,6 +69,7 @@ from .rollout import (
 from .trajectory import (
     Block,
     BlockKind,
+    DocIndex,
     Rule,
     Trajectory,
     ValidationPolicy,

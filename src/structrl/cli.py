@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import dataset as ds
 from . import evaluation as ev
@@ -28,11 +29,11 @@ from .density import (
     run_corpus,
 )
 from .backends import ENDPOINT_ENV, make_backend
-from .errors import StructRLError
+from .errors import ParseError, StructRLError
 from .grpo import ObjectiveConfig, RewardGroup, TokenLogProbs, objective, write_training_signals
 from .reward import LambdaSchedule
 from .rollout import RolloutConfig, read_rollout_jsonl, rescore_records, run_rollouts, write_rollout_jsonl
-from .trajectory import Rule, ValidationPolicy, parse_trajectory, validate
+from .trajectory import DocIndex, Rule, ValidationPolicy, parse_trajectory, validate
 
 DEFAULTS = {
     "backend": "mock",
@@ -103,23 +104,46 @@ def _write_sidecar(out_dir: Path, command: str, resolved: dict) -> None:
         fh.write(f"{stamp} {command}\n")
 
 
-def _signals_from_records(records: list[dict], cfg: ObjectiveConfig):
-    groups = []
-    for record in records:
-        totals = tuple(p["breakdown"]["total"] for p in record["pairs"])
-        logprobs = []
-        for pair in record["pairs"]:
-            lp = pair.get("logprobs")
-            if lp:
-                logprobs.append(
-                    TokenLogProbs(
-                        tuple(lp["policy"]), tuple(lp["reference"]), tuple(lp["behavior"])
-                    )
-                )
-            else:
-                logprobs.append(TokenLogProbs((), (), ()))
-        groups.append((RewardGroup(totals), logprobs))
-    return objective(groups, cfg)
+_NO_LOGPROBS = TokenLogProbs((), (), ())
+
+
+def _objective_group(
+    totals: tuple[float, ...], logprobs: list[TokenLogProbs | None]
+) -> tuple[RewardGroup, list[TokenLogProbs]]:
+    """One group's objective input; a pair without log-probs gets empty vectors."""
+    return RewardGroup(totals), [
+        _NO_LOGPROBS if lp is None else lp for lp in logprobs
+    ]
+
+
+def _record_group(record: dict) -> tuple[RewardGroup, list[TokenLogProbs]]:
+    """Objective input from a stored rollout record."""
+    logprobs = []
+    for pair in record["pairs"]:
+        lp = pair.get("logprobs")
+        logprobs.append(
+            TokenLogProbs(tuple(lp["policy"]), tuple(lp["reference"]), tuple(lp["behavior"]))
+            if lp
+            else None
+        )
+    return _objective_group(tuple(p["breakdown"]["total"] for p in record["pairs"]), logprobs)
+
+
+def _export_signals(
+    path: Path,
+    query_ids: list[str],
+    groups: list[tuple[RewardGroup, list[TokenLogProbs]]],
+    resolved: dict,
+) -> float | None:
+    """Write training signals; return the objective, or None for no groups."""
+    if not groups:
+        path.write_text("", "utf-8")
+        return None
+    j, signals = objective(
+        groups, ObjectiveConfig(float(resolved["epsilon"]), float(resolved["beta"]))
+    )
+    write_training_signals(path, query_ids, signals)
+    return j
 
 
 def cmd_rollout(args: argparse.Namespace) -> int:
@@ -144,16 +168,12 @@ def cmd_rollout(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     groups = list(run_rollouts(queries, config, backend))
     write_rollout_jsonl(out_dir / "rollouts.jsonl", groups)
-
-    records = read_rollout_jsonl(out_dir / "rollouts.jsonl")
-    signals_path = out_dir / "training_signals.jsonl"
-    if records:
-        _, signals = _signals_from_records(
-            records, ObjectiveConfig(float(resolved["epsilon"]), float(resolved["beta"]))
-        )
-        write_training_signals(signals_path, [r["query"]["id"] for r in records], signals)
-    else:
-        signals_path.write_text("", "utf-8")
+    _export_signals(
+        out_dir / "training_signals.jsonl",
+        [g.query.id for g in groups],
+        [_objective_group(g.totals(), [p.logprobs for p in g.pairs]) for g in groups],
+        resolved,
+    )
     _write_sidecar(out_dir, "rollout", {**resolved, "config": config.to_dict()})
 
     pairs = [p for g in groups for p in g.pairs]
@@ -175,16 +195,16 @@ def cmd_rollout(args: argparse.Namespace) -> int:
 def cmd_score_export(args: argparse.Namespace) -> int:
     resolved = resolve_config(args)
     records = read_rollout_jsonl(args.rollouts)
-    out_path = Path(args.out)
-    if records:
-        j, signals = _signals_from_records(
-            records, ObjectiveConfig(float(resolved["epsilon"]), float(resolved["beta"]))
-        )
-        write_training_signals(out_path, [r["query"]["id"] for r in records], signals)
-        print(f"objective={j:.6f} groups={len(records)}")
-    else:
-        out_path.write_text("", "utf-8")
+    j = _export_signals(
+        Path(args.out),
+        [r["query"]["id"] for r in records],
+        [_record_group(r) for r in records],
+        resolved,
+    )
+    if j is None:
         print("objective=n/a groups=0")
+    else:
+        print(f"objective={j:.6f} groups={len(records)}")
     return 0
 
 
@@ -227,19 +247,31 @@ def cmd_sweep_lambda(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_records(path: str) -> Iterator[tuple[int, object]]:
+    """Each non-blank line of a JSONL file, parsed, with its 1-based number."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                yield lineno, json.loads(line)
+
+
+def _field(record: object, name: str, path: str, lineno: int):
+    """``record[name]``; a record without it fails with its file and line."""
+    if isinstance(record, dict) and name in record:
+        return record[name]
+    raise ParseError(f"{path} line {lineno}: missing field {name!r}")
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     instances = {q.id: q for q in ds.load_jsonl(args.dataset)}
     pairs: list[tuple[str, list[str]]] = []
-    with open(args.predictions, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            qid = str(record["id"])
-            if qid not in instances:
-                print(f"line {lineno}: unknown prediction id {qid!r}", file=sys.stderr)
-                return 1
-            pairs.append((record["prediction"], list(instances[qid].golds)))
+    for lineno, record in _read_records(args.predictions):
+        qid = str(_field(record, "id", args.predictions, lineno))
+        if qid not in instances:
+            print(f"line {lineno}: unknown prediction id {qid!r}", file=sys.stderr)
+            return 1
+        prediction = _field(record, "prediction", args.predictions, lineno)
+        pairs.append((prediction, list(instances[qid].golds)))
     summary = ev.evaluate(pairs)
     name = Path(args.dataset).stem
     print(ev.report({name: summary}, args.format or "text"), end="")
@@ -248,22 +280,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _corpus_instances(path: str) -> list[SyntheticInstance]:
     instances = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            raw = record["raw_docs"]
-            if isinstance(raw, list):
-                raw = "\n".join(raw)
-            cands = tuple(
-                StructureCandidate(c["label"], c["body"])
-                for c in record.get("candidates", [])
+    for lineno, record in _read_records(path):
+        raw = _field(record, "raw_docs", path, lineno)
+        if isinstance(raw, list):
+            raw = "\n".join(raw)
+        cands = tuple(
+            StructureCandidate(
+                _field(c, "label", path, lineno), _field(c, "body", path, lineno)
             )
-            matcher = Matcher(record.get("matcher", "normalized_containment"))
-            instances.append(
-                SyntheticInstance(raw, cands, FactSet(tuple(record["facts"]), matcher))
-            )
+            for c in record.get("candidates", [])
+        )
+        matcher = Matcher(record.get("matcher", "normalized_containment"))
+        facts = tuple(_field(record, "facts", path, lineno))
+        instances.append(SyntheticInstance(raw, cands, FactSet(facts, matcher)))
     return instances
 
 
@@ -295,24 +324,24 @@ def cmd_validate(args: argparse.Namespace) -> int:
     docs: list[str] = []
     if args.docs:
         docs = json.loads(Path(args.docs).read_text("utf-8"))
+    policy = ValidationPolicy()
+    doc_index = DocIndex(docs, policy.copy_ngram)
     strict_hit = False
-    with open(args.trajectories, encoding="utf-8") as fh:
-        for index, line in enumerate(fh):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            raw = record if isinstance(record, str) else record["raw"]
-            traj = parse_trajectory(raw)
-            report = validate(traj, docs, ValidationPolicy())
-            if report.rules() & STRICT_RULES:
-                strict_hit = True
-            print(
-                json.dumps(
-                    {"index": index, "is_clean": report.is_clean,
-                     "violations": [v.to_dict() for v in report.violations]},
-                    ensure_ascii=False,
-                )
+    for lineno, record in _read_records(args.trajectories):
+        if isinstance(record, str):
+            raw = record
+        else:
+            raw = _field(record, "raw", args.trajectories, lineno)
+        report = validate(parse_trajectory(raw), doc_index, policy)
+        if report.rules() & STRICT_RULES:
+            strict_hit = True
+        print(
+            json.dumps(
+                {"index": lineno - 1, "is_clean": report.is_clean,
+                 "violations": [v.to_dict() for v in report.violations]},
+                ensure_ascii=False,
             )
+        )
     return 1 if (args.strict and strict_hit) else 0
 
 

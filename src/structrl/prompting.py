@@ -8,6 +8,7 @@ spliced positionally so text that happens to contain ``{context}`` or
 """
 from __future__ import annotations
 
+import functools
 import json
 import threading
 from dataclasses import dataclass
@@ -121,7 +122,9 @@ def register_dynamic_format(
     return (registry or DEFAULT_REGISTRY).register_dynamic(name, description)
 
 
+@functools.cache
 def _load_template(filename: str) -> str:
+    # read on first use, not at import, so importing the package stays cheap
     return resources.files("structrl.templates").joinpath(filename).read_text("utf-8")
 
 

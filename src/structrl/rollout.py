@@ -6,6 +6,11 @@ documents, so its reward measures whether the structures carry the answer.
 Failed samples stay in the group (scored 0 and flagged) to keep group size
 and advantage semantics stable. All seeds derive from (query id, sample
 index, base seed), which makes output independent of parallelism degree.
+
+Both passes of every sample are validated against one `DocIndex` per query:
+the normalised n-grams of its documents, built when the group starts and
+shared by all K samples. It is dropped with the group, so at most one index
+per worker is alive.
 """
 from __future__ import annotations
 
@@ -30,6 +35,7 @@ from .reward import (
     reinference_reward,
 )
 from .trajectory import (
+    DocIndex,
     Trajectory,
     ValidationPolicy,
     ValidationReport,
@@ -181,6 +187,7 @@ def _rollout_sample(
     lambda_: float,
     backend: GenerationBackend,
     config: RolloutConfig,
+    doc_index: DocIndex,
 ) -> TrajectoryPair:
     seed = derive_seed(query.id, index, config.base_seed)
     sampling = SamplingParams(
@@ -194,7 +201,7 @@ def _rollout_sample(
 
     policy = ValidationPolicy(copy_ngram=config.copy_ngram)
     primary = parse_trajectory(gen.text)
-    primary_report = validate(primary, list(query.docs), policy)
+    primary_report = validate(primary, doc_index, policy)
 
     reinferred = None
     reinferred_report = None
@@ -208,7 +215,7 @@ def _rollout_sample(
         except BackendError as exc:
             return _failed_pair(seed, lambda_, f"re-inference generation: {exc}")
         reinferred = parse_trajectory(reinf_gen.text)
-        reinferred_report = validate(reinferred, list(query.docs), policy)
+        reinferred_report = validate(reinferred, doc_index, policy)
 
     direct = direct_reward(primary, list(query.golds))
     reinf = reinference_reward(reinferred, had_formats, list(query.golds))
@@ -238,8 +245,9 @@ def rollout_one(
     """One group: K sampled pairs for a query plus centered advantages."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    doc_index = DocIndex(query.docs, config.copy_ngram)
     pairs = tuple(
-        _rollout_sample(query, i, lambda_, backend, config) for i in range(k)
+        _rollout_sample(query, i, lambda_, backend, config, doc_index) for i in range(k)
     )
     advantages = group_advantages(RewardGroup(tuple(p.breakdown.total for p in pairs)))
     return RolloutGroup(query, pairs, advantages, lambda_, step)

@@ -10,6 +10,11 @@ Tags are literal and case-sensitive. A format block is well-formed only when
 the opening and closing names match byte-for-byte after trimming surrounding
 whitespace. Text outside well-formed blocks is ignored by the parser; broken
 regions (unclosed tags, mismatched format names) are reported by `validate`.
+
+The copy check compares format bodies against a `DocIndex`, the normalised
+n-gram set of a query's documents. A rollout builds one index per query and
+shares it across the K samples and both passes; `validate` also accepts the
+plain document list and builds the index itself.
 """
 from __future__ import annotations
 
@@ -229,41 +234,54 @@ def extract_formats(traj: Trajectory) -> list[tuple[str, str]]:
     return [(b.format_name, b.content) for b in traj.format_blocks()]
 
 
-def _doc_ngrams(docs: tuple[str, ...] | list[str], n: int) -> set[tuple[str, ...]]:
-    grams: set[tuple[str, ...]] = set()
-    for doc in docs:
-        toks = norm_tokens(doc)
-        for i in range(len(toks) - n + 1):
-            grams.add(tuple(toks[i : i + n]))
-    return grams
+class DocIndex:
+    """Normalised n-grams of a document set, built once per set.
+
+    Answers whether a text repeats an n-token run from any of the documents.
+    """
+
+    def __init__(self, docs: tuple[str, ...] | list[str], n: int) -> None:
+        self.n = n
+        self.grams: set[tuple[str, ...]] = set()
+        for doc in docs:
+            toks = norm_tokens(doc)
+            for i in range(len(toks) - n + 1):
+                self.grams.add(tuple(toks[i : i + n]))
+
+    def copied_in(self, text: str) -> bool:
+        """True when any contiguous normalised n-gram of the documents is in text."""
+        if not self.grams:
+            return False
+        toks = norm_tokens(text)
+        n = self.n
+        return any(tuple(toks[i : i + n]) in self.grams for i in range(len(toks) - n + 1))
 
 
 def contains_copied_ngram(text: str, docs: list[str], n: int) -> bool:
     """True when any contiguous normalized n-gram from any doc appears in text."""
-    if n <= 0:
-        return False
-    grams = _doc_ngrams(docs, n)
-    if not grams:
-        return False
-    toks = norm_tokens(text)
-    return any(tuple(toks[i : i + n]) in grams for i in range(len(toks) - n + 1))
+    return n > 0 and DocIndex(docs, n).copied_in(text)
 
 
 def validate(
     traj: Trajectory,
-    docs: list[str],
+    docs: list[str] | DocIndex,
     policy: ValidationPolicy = ValidationPolicy(),
 ) -> ValidationReport:
     """Check a parsed trajectory against the strict format rules.
 
-    Reports, never rejects: whether a violation affects the reward is a
-    policy decision made downstream.
+    ``docs`` is the source document list or a `DocIndex` built from it with
+    ``policy.copy_ngram``. Reports, never rejects: whether a violation affects
+    the reward is a policy decision made downstream.
     """
+    if not isinstance(docs, DocIndex):
+        docs = DocIndex(docs, policy.copy_ngram)
+    elif docs.n != policy.copy_ngram:
+        raise ValueError(
+            f"doc index holds {docs.n}-grams but the policy checks {policy.copy_ngram}-grams"
+        )
     violations: list[Violation] = []
     _, grammar_issues = _scan(traj.raw)
     violations.extend(grammar_issues)
-
-    doc_grams = _doc_ngrams(docs, policy.copy_ngram) if docs else set()
 
     answer_seen = False
     for b in traj.blocks:
@@ -276,17 +294,14 @@ def validate(
                 violations.append(
                     Violation(Rule.EMPTY_FORMAT_BODY, b.span, f"format {b.format_name!r} has no body")
                 )
-            if doc_grams:
-                toks = norm_tokens(b.content)
-                n = policy.copy_ngram
-                if any(tuple(toks[i : i + n]) in doc_grams for i in range(len(toks) - n + 1)):
-                    violations.append(
-                        Violation(
-                            Rule.COPIED_CONTENT,
-                            b.span,
-                            f"format body repeats a {n}-token run from a source document",
-                        )
+            if docs.copied_in(b.content):
+                violations.append(
+                    Violation(
+                        Rule.COPIED_CONTENT,
+                        b.span,
+                        f"format body repeats a {docs.n}-token run from a source document",
                     )
+                )
         elif b.kind is BlockKind.ANSWER and not answer_seen:
             answer_seen = True
             answer = b.content.strip()

@@ -9,8 +9,11 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from structrl.backends import prompt_digest
 from structrl.cli import DEFAULTS, build_parser, main, parse_schedule, resolve_config
+from structrl.prompting import build_main_prompt
 from structrl.reward import ScheduleKind
+from structrl.rollout import derive_seed
 
 QUESTION = (
     "Which film has the director born later, The Girl In Possession "
@@ -201,7 +204,20 @@ class TestScoreExport:
         self, tmp_path, golden_trace, golden_docs, golden_golds, capsys
     ):
         dataset, fixtures = write_fixtures(tmp_path, golden_trace, golden_docs, golden_golds)
+        # a third query whose second sample finds no response, so its pair
+        # fails and carries no log-probs
+        partial = {"id": "partial", "question": "Where?", "docs": ["lone doc"],
+                   "golden_answers": ["Rome"]}
+        with open(dataset, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(partial) + "\n")
+        prompt = build_main_prompt(partial["question"], partial["docs"])
+        (fixtures / f"{prompt_digest(prompt, derive_seed('partial', 0, 0))}.txt").write_text(
+            PLAIN_RESPONSE, "utf-8"
+        )
         out_dir = run_rollout_cli(tmp_path, dataset, fixtures, "out")
+        last = json.loads((out_dir / "rollouts.jsonl").read_text("utf-8").splitlines()[-1])
+        assert [p["failed"] for p in last["pairs"]] == [False, True]
+        assert last["pairs"][1]["logprobs"] is None
         exported = tmp_path / "signals.jsonl"
         code = main(
             [
@@ -398,6 +414,39 @@ class TestValidateCommand:
         code = main(["validate", "--trajectories", str(trajectories)])
         assert code == 0
         assert json.loads(capsys.readouterr().out.splitlines()[0])["is_clean"] is True
+
+
+@pytest.mark.parametrize(
+    "command, flag, good, bad, field",
+    [
+        ("eval", "--predictions", {"id": "q1", "prediction": "x"}, {"id": "q1"}, "prediction"),
+        ("validate", "--trajectories", {"raw": "<answer>x</answer>"}, {"text": "x"}, "raw"),
+        (
+            "density",
+            "--corpus",
+            {"facts": ["f q"], "raw_docs": "pad f q"},
+            {"facts": ["f q"]},
+            "raw_docs",
+        ),
+    ],
+    ids=["eval", "validate", "density"],
+)
+def test_record_missing_field_names_file_and_line(
+    tmp_path, capsys, command, flag, good, bad, field
+):
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", "utf-8")
+    argv = [command, flag, str(records)]
+    if command == "eval":
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text(
+            json.dumps({"id": "q1", "question": "?", "docs": ["d"], "golden_answers": ["x"]})
+            + "\n",
+            "utf-8",
+        )
+        argv += ["--dataset", str(dataset)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {records} line 2: missing field '{field}'\n"
 
 
 class TestConvertAndSample:

@@ -14,6 +14,7 @@ from structrl.rollout import (
     run_rollouts,
     write_rollout_jsonl,
 )
+from structrl.trajectory import DocIndex
 
 QUESTION = (
     "Which film has the director born later, The Girl In Possession "
@@ -27,10 +28,11 @@ REINF_ANSWER = (
 )
 
 
-def golden_backend(tmp_path, golden_trace):
+def golden_backend(tmp_path, golden_trace, extra_rules=()):
     rules = [
         {"contains": "Doc 1: The Girl in Possession", "response": golden_trace},
         {"contains": "- Monty Banks: 1897-07-15", "response": REINF_ANSWER},
+        *extra_rules,
     ]
     (tmp_path / "rules.json").write_text(json.dumps(rules), "utf-8")
     return MockBackend(tmp_path)
@@ -162,12 +164,14 @@ class TestRunRollouts:
             for i in range(3)
         ]
 
-    def _backend(self, tmp_path):
-        rules = [
+    def _rules(self):
+        return [
             {"contains": f"marker{i}", "response": "<think>t</think><answer> Rome </answer>"}
             for i in range(3)
         ]
-        (tmp_path / "rules.json").write_text(json.dumps(rules), "utf-8")
+
+    def _backend(self, tmp_path):
+        (tmp_path / "rules.json").write_text(json.dumps(self._rules()), "utf-8")
         return MockBackend(tmp_path)
 
     def test_order_matches_dataset(self, tmp_path):
@@ -206,6 +210,24 @@ class TestRunRollouts:
         groups = run_rollouts(self._dataset(), RolloutConfig(k=2), backend)
         n = write_rollout_jsonl(tmp_path / "rollouts.jsonl", groups)
         assert n == 3
+
+    def test_one_doc_index_per_query(
+        self, tmp_path, monkeypatch, golden_trace, golden_docs, golden_golds
+    ):
+        builds = []
+        original = DocIndex.__init__
+
+        def counting_init(self, docs, n):
+            builds.append(tuple(docs))
+            original(self, docs, n)
+
+        monkeypatch.setattr(DocIndex, "__init__", counting_init)
+        backend = golden_backend(tmp_path, golden_trace, self._rules())
+        queries = [golden_query(golden_docs, golden_golds), *self._dataset()]
+        groups = list(run_rollouts(queries, RolloutConfig(k=4), backend))
+        # the golden query's samples carry formats, so both passes are validated
+        assert all(p.reinferred_validation is not None for p in groups[0].pairs)
+        assert builds == [q.docs for q in queries]
 
 
 class TestRescore:

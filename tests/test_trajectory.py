@@ -1,10 +1,12 @@
 import string
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structrl.trajectory import (
     BlockKind,
+    DocIndex,
     Rule,
     Trajectory,
     ValidationPolicy,
@@ -137,6 +139,21 @@ class TestParseProperties:
         traj = parse_trajectory(raw)
         validate(traj, ["some doc text"])
 
+    @given(
+        trajectory_texts(),
+        st.lists(st.text(alphabet="ab ", max_size=20), max_size=3),
+        st.integers(1, 3),
+    )
+    def test_prebuilt_index_gives_the_doc_list_report(self, raw, docs, n):
+        traj = parse_trajectory(raw)
+        policy = ValidationPolicy(copy_ngram=n)
+        assert validate(traj, DocIndex(docs, n), policy) == validate(traj, docs, policy)
+
+
+def copy_source(form, docs, policy=ValidationPolicy()):
+    """The documents as validate takes them: the plain list or a prebuilt index."""
+    return docs if form == "list" else DocIndex(docs, policy.copy_ngram)
+
 
 class TestValidate:
     def test_golden_trace_is_clean(self, golden_trace, golden_docs):
@@ -180,24 +197,33 @@ class TestValidate:
         report = validate(parse_trajectory(raw), [])
         assert Rule.MISMATCHED_FORMAT_NAME in report.rules()
 
-    def test_copied_content_fires_on_verbatim_run(self):
+    @pytest.mark.parametrize("form", ["list", "index"])
+    def test_copied_content_fires_on_verbatim_run(self, form):
         doc = " ".join(f"w{i}" for i in range(40))
         raw = f"<format: Chunk>{doc}</format: Chunk><answer>x</answer>"
-        report = validate(parse_trajectory(raw), [doc], ValidationPolicy(copy_ngram=30))
+        policy = ValidationPolicy(copy_ngram=30)
+        report = validate(parse_trajectory(raw), copy_source(form, [doc], policy), policy)
         assert Rule.COPIED_CONTENT in report.rules()
 
-    def test_copied_content_ignores_short_overlap(self):
+    @pytest.mark.parametrize("form", ["list", "index"])
+    def test_copied_content_ignores_short_overlap(self, form):
         doc = " ".join(f"w{i}" for i in range(40))
         body = " ".join(f"w{i}" for i in range(20))
         raw = f"<format: Chunk>{body}</format: Chunk><answer>x</answer>"
-        report = validate(parse_trajectory(raw), [doc], ValidationPolicy(copy_ngram=30))
+        policy = ValidationPolicy(copy_ngram=30)
+        report = validate(parse_trajectory(raw), copy_source(form, [doc], policy), policy)
         assert Rule.COPIED_CONTENT not in report.rules()
 
-    def test_copied_content_only_checks_format_blocks(self):
+    @pytest.mark.parametrize("form", ["list", "index"])
+    def test_copied_content_only_checks_format_blocks(self, form):
         doc = " ".join(f"w{i}" for i in range(40))
         raw = f"<think>{doc}</think><answer>x</answer>"
-        report = validate(parse_trajectory(raw), [doc])
+        report = validate(parse_trajectory(raw), copy_source(form, [doc]))
         assert Rule.COPIED_CONTENT not in report.rules()
+
+    def test_index_for_another_ngram_length_is_rejected(self):
+        with pytest.raises(ValueError):
+            validate(parse_trajectory(""), DocIndex(["doc"], 5), ValidationPolicy(copy_ngram=30))
 
     def test_is_clean_iff_no_violations(self, golden_trace, golden_docs):
         clean = validate(parse_trajectory(golden_trace), golden_docs)
