@@ -4,24 +4,19 @@
 Builds a three-query demo dataset covering the interesting reward cases
 (structure + self-contained, no structure, structure that fails re-inference),
 rolls out K samples per query, writes the JSONL artifacts, and prints the
-reward sweep over several lambda values. Everything is deterministic, so two
-invocations with the same flags produce byte-identical outputs.
+reward sweep over several lambda values through `structrl sweep-lambda`.
+Everything is deterministic, so two invocations with the same flags produce
+byte-identical outputs.
 """
 import argparse
 import json
 import sys
 from pathlib import Path
 
+from structrl import cli
 from structrl.backends import MockBackend
 from structrl.reward import LambdaSchedule
-from structrl.rollout import (
-    QueryInstance,
-    RolloutConfig,
-    read_rollout_jsonl,
-    rescore_records,
-    run_rollouts,
-    write_rollout_jsonl,
-)
+from structrl.rollout import QueryInstance, RolloutConfig, run_rollouts, write_rollout_jsonl
 
 STRUCTURED_TRACE = """<think>
 Two birth dates are buried in prose; a table makes the comparison trivial.
@@ -93,23 +88,6 @@ def build_demo(workdir: Path):
     return queries, fixtures
 
 
-def sweep_table(records, values):
-    rows = []
-    for lam in values:
-        rescored = rescore_records(records, lam)
-        pairs = [p["breakdown"] for r in rescored for p in r["pairs"]]
-        n = len(pairs)
-        rows.append(
-            (
-                lam,
-                sum(b["total"] for b in pairs) / n,
-                sum(b["direct"] for b in pairs) / n,
-                sum(b["reinf"] for b in pairs) / n,
-            )
-        )
-    return rows
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", default="runs/mock_demo")
@@ -141,12 +119,8 @@ def main(argv=None):
             f"clean={pair.primary_validation.is_clean}"
         )
 
-    records = read_rollout_jsonl(rollouts_path)
     print("\nlambda sweep (mean over all samples):")
-    print(f"{'lambda':>8}  {'total':>8}  {'direct':>8}  {'reinf':>8}")
-    for lam, total, direct, reinf in sweep_table(records, [0.0, 0.1, 0.2, 0.3]):
-        print(f"{lam:8.2f}  {total:8.4f}  {direct:8.4f}  {reinf:8.4f}")
-    return 0
+    return cli.main(["sweep-lambda", "--rollouts", str(rollouts_path), "--values", "0,0.1,0.2,0.3"])
 
 
 if __name__ == "__main__":

@@ -42,11 +42,8 @@ from .grpo import (
 )
 from .prompting import (
     PREDEFINED_FORMATS,
-    FormatRegistry,
-    FormatSpec,
     build_main_prompt,
     build_reinference_prompt,
-    register_dynamic_format,
 )
 from .reward import (
     LambdaSchedule,

@@ -27,13 +27,6 @@ class SamplingParams:
     max_tokens: int = 1024
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class Generation:

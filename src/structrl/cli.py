@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Iterator
 
 from . import dataset as ds
 from . import evaluation as ev
@@ -29,7 +28,7 @@ from .density import (
     run_corpus,
 )
 from .backends import ENDPOINT_ENV, make_backend
-from .errors import ParseError, StructRLError
+from .errors import MissingField, StructRLError
 from .grpo import ObjectiveConfig, RewardGroup, TokenLogProbs, objective, write_training_signals
 from .reward import LambdaSchedule
 from .rollout import RolloutConfig, read_rollout_jsonl, rescore_records, run_rollouts, write_rollout_jsonl
@@ -247,25 +246,17 @@ def cmd_sweep_lambda(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_records(path: str) -> Iterator[tuple[int, object]]:
-    """Each non-blank line of a JSONL file, parsed, with its 1-based number."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                yield lineno, json.loads(line)
-
-
 def _field(record: object, name: str, path: str, lineno: int):
     """``record[name]``; a record without it fails with its file and line."""
     if isinstance(record, dict) and name in record:
         return record[name]
-    raise ParseError(f"{path} line {lineno}: missing field {name!r}")
+    raise MissingField(name, lineno, path)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     instances = {q.id: q for q in ds.load_jsonl(args.dataset)}
     pairs: list[tuple[str, list[str]]] = []
-    for lineno, record in _read_records(args.predictions):
+    for lineno, record in ds.read_records(args.predictions):
         qid = str(_field(record, "id", args.predictions, lineno))
         if qid not in instances:
             print(f"line {lineno}: unknown prediction id {qid!r}", file=sys.stderr)
@@ -280,7 +271,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _corpus_instances(path: str) -> list[SyntheticInstance]:
     instances = []
-    for lineno, record in _read_records(path):
+    for lineno, record in ds.read_records(path):
         raw = _field(record, "raw_docs", path, lineno)
         if isinstance(raw, list):
             raw = "\n".join(raw)
@@ -324,15 +315,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
     docs: list[str] = []
     if args.docs:
         docs = json.loads(Path(args.docs).read_text("utf-8"))
-    policy = ValidationPolicy()
-    doc_index = DocIndex(docs, policy.copy_ngram)
+    doc_index = DocIndex(docs, ValidationPolicy().copy_ngram)
     strict_hit = False
-    for lineno, record in _read_records(args.trajectories):
+    for lineno, record in ds.read_records(args.trajectories):
         if isinstance(record, str):
             raw = record
         else:
             raw = _field(record, "raw", args.trajectories, lineno)
-        report = validate(parse_trajectory(raw), doc_index, policy)
+        report = validate(parse_trajectory(raw), doc_index)
         if report.rules() & STRICT_RULES:
             strict_hit = True
         print(

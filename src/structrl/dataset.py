@@ -11,7 +11,7 @@ import gzip
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -36,10 +36,14 @@ class QueryInstance:
         }
 
     @classmethod
-    def from_dict(cls, d: dict, line: int | None = None) -> "QueryInstance":
+    def from_dict(cls, d: dict, line: int | None = None, path: object = None) -> "QueryInstance":
         for name in REQUIRED_FIELDS:
             if name not in d:
-                raise MissingField(name, line)
+                raise MissingField(name, line, path)
+        # a query without documents or gold answers cannot be rolled out or scored
+        for name in ("docs", "golden_answers"):
+            if not d[name]:
+                raise ParseError(f"field {name!r} is empty", line, path)
         return cls(
             id=str(d["id"]),
             question=d["question"],
@@ -54,26 +58,35 @@ def _open_text(path: Path, mode: str = "rt") -> IO[str]:
     return open(path, mode, encoding="utf-8")
 
 
-def load_jsonl(path: str | Path) -> list[QueryInstance]:
-    """Instances in file order; blank lines skipped; ids must be unique."""
-    path = Path(path)
-    instances: list[QueryInstance] = []
-    seen: set[str] = set()
-    with _open_text(path) as fh:
+def read_records(path: str | Path) -> Iterator[tuple[int, object]]:
+    """Each non-blank line of a JSONL file, parsed, with its 1-based number.
+
+    Every JSONL input of the package is read here, so a line that is not JSON
+    fails with its file and line number.
+    """
+    with _open_text(Path(path)) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", lineno) from exc
-            if not isinstance(record, dict):
-                raise ParseError("record is not a JSON object", lineno)
-            inst = QueryInstance.from_dict(record, lineno)
-            if inst.id in seen:
-                raise DuplicateId(f"duplicate id {inst.id!r}", lineno)
-            seen.add(inst.id)
-            instances.append(inst)
+                raise ParseError(f"invalid JSON: {exc.msg}", lineno, path) from exc
+            yield lineno, record
+
+
+def load_jsonl(path: str | Path) -> list[QueryInstance]:
+    """Instances in file order; blank lines skipped; ids must be unique."""
+    instances: list[QueryInstance] = []
+    seen: set[str] = set()
+    for lineno, record in read_records(path):
+        if not isinstance(record, dict):
+            raise ParseError("record is not a JSON object", lineno, path)
+        inst = QueryInstance.from_dict(record, lineno, path)
+        if inst.id in seen:
+            raise DuplicateId(f"duplicate id {inst.id!r}", lineno, path)
+        seen.add(inst.id)
+        instances.append(inst)
     return instances
 
 
@@ -129,12 +142,11 @@ def convert_file(src: str | Path, dst: str | Path) -> int:
     """Convert a raw JSON array or JSONL file; returns the instance count."""
     src = Path(src)
     with _open_text(src) as fh:
-        head = fh.read(1)
-        fh.seek(0)
-        if head == "[":
+        if fh.read(1) == "[":
+            fh.seek(0)
             records = json.load(fh)
         else:
-            records = [json.loads(line) for line in fh if line.strip()]
+            records = [record for _, record in read_records(src)]
     instances = [convert_record(r) for r in records]
     seen: set[str] = set()
     for inst in instances:

@@ -20,7 +20,7 @@ from ._textnorm import norm_tokens, normalize_text
 from .errors import EmptyCandidates, EmptyText
 from .prompting import PREDEFINED_FORMATS
 
-_PREDEFINED_LABELS = {spec.name.lower() for spec in PREDEFINED_FORMATS}
+_PREDEFINED_LABELS = {name.lower() for name in PREDEFINED_FORMATS}
 
 
 class Matcher(str, Enum):

@@ -1,7 +1,8 @@
 """Exception types raised across the package.
 
 All inherit from StructRLError so callers can catch package failures in one
-clause. Parse errors carry the 1-based line number of the offending record.
+clause. Parse errors carry the 1-based line number of the offending record
+and, when known, name its file.
 """
 from __future__ import annotations
 
@@ -16,10 +17,6 @@ class EmptyDocs(StructRLError):
 
 class NoFormats(StructRLError):
     """Re-inference requested for a trajectory without format blocks."""
-
-
-class InvalidName(StructRLError):
-    """Format name violates the tag grammar."""
 
 
 class EmptyGolds(StructRLError):
@@ -57,16 +54,17 @@ class BackendError(StructRLError):
 class ParseError(StructRLError):
     """Malformed dataset record."""
 
-    def __init__(self, message: str, line: int | None = None) -> None:
-        super().__init__(message if line is None else f"line {line}: {message}")
+    def __init__(self, message: str, line: int | None = None, path: object = None) -> None:
+        where = f"line {line}" if path is None else f"{path} line {line}"
+        super().__init__(message if line is None else f"{where}: {message}")
         self.line = line
 
 
 class MissingField(ParseError):
     """Dataset record lacks a required field."""
 
-    def __init__(self, field: str, line: int | None = None) -> None:
-        super().__init__(f"missing field {field!r}", line)
+    def __init__(self, field: str, line: int | None = None, path: object = None) -> None:
+        super().__init__(f"missing field {field!r}", line, path)
         self.field = field
 
 

@@ -21,9 +21,6 @@ class MetricsSummary:
     f1: float
     error: float
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "em": self.em, "f1": self.f1, "error": self.error}
-
 
 def evaluate(pairs: list[tuple[str, list[str]]]) -> MetricsSummary:
     """Mean per-instance EM and max-F1; error is 1 - EM exactly."""

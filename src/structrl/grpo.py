@@ -54,13 +54,6 @@ class ObjectiveConfig:
     # model is an alternative reading of the same formula
     ratio_denominator: str = "behavior"
 
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "beta": self.beta,
-            "ratio_denominator": self.ratio_denominator,
-        }
-
 
 def _mean(xs: tuple[float, ...] | list[float]) -> float:
     # plain left-to-right sum: the documented deterministic order

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .backends import Generation, GenerationBackend, SamplingParams
-from .dataset import QueryInstance
+from .dataset import QueryInstance, read_records
 from .errors import BackendError
 from .grpo import AdvantageSet, RewardGroup, TokenLogProbs, group_advantages
 from .prompting import build_main_prompt, build_reinference_prompt
@@ -75,10 +75,6 @@ class RolloutConfig:
     # validation rules that zero the pair's reward when they fire; empty by
     # default (NoAnswer already scores 0 through the missing answer)
     punitive_rules: tuple[str, ...] = ()
-    # the re-inference pass runs on the same policy snapshot; kept as a field
-    # so a frozen-verifier ablation is expressible in config
-    reinference_backend: str = "same"
-    copy_ngram: int = 30
 
     def to_dict(self) -> dict:
         return {
@@ -90,8 +86,6 @@ class RolloutConfig:
             "max_tokens": self.max_tokens,
             "retries": self.retries,
             "punitive_rules": list(self.punitive_rules),
-            "reinference_backend": self.reinference_backend,
-            "copy_ngram": self.copy_ngram,
         }
 
 
@@ -199,9 +193,8 @@ def _rollout_sample(
     except BackendError as exc:
         return _failed_pair(seed, lambda_, f"primary generation: {exc}")
 
-    policy = ValidationPolicy(copy_ngram=config.copy_ngram)
     primary = parse_trajectory(gen.text)
-    primary_report = validate(primary, doc_index, policy)
+    primary_report = validate(primary, doc_index)
 
     reinferred = None
     reinferred_report = None
@@ -215,7 +208,7 @@ def _rollout_sample(
         except BackendError as exc:
             return _failed_pair(seed, lambda_, f"re-inference generation: {exc}")
         reinferred = parse_trajectory(reinf_gen.text)
-        reinferred_report = validate(reinferred, doc_index, policy)
+        reinferred_report = validate(reinferred, doc_index)
 
     direct = direct_reward(primary, list(query.golds))
     reinf = reinference_reward(reinferred, had_formats, list(query.golds))
@@ -245,7 +238,7 @@ def rollout_one(
     """One group: K sampled pairs for a query plus centered advantages."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    doc_index = DocIndex(query.docs, config.copy_ngram)
+    doc_index = DocIndex(query.docs, ValidationPolicy().copy_ngram)
     pairs = tuple(
         _rollout_sample(query, i, lambda_, backend, config, doc_index) for i in range(k)
     )
@@ -289,12 +282,7 @@ def write_rollout_jsonl(path: str | Path, groups: Iterable[RolloutGroup]) -> int
 
 def read_rollout_jsonl(path: str | Path) -> list[dict]:
     """Raw group records; re-scoring tools work on the dict form."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(json.loads(line))
-    return records
+    return [record for _, record in read_records(path)]
 
 
 def rescore_records(records: list[dict], lambda_: float) -> list[dict]:

@@ -9,7 +9,8 @@ A trajectory is raw generated text segmented into tagged blocks:
 Tags are literal and case-sensitive. A format block is well-formed only when
 the opening and closing names match byte-for-byte after trimming surrounding
 whitespace. Text outside well-formed blocks is ignored by the parser; broken
-regions (unclosed tags, mismatched format names) are reported by `validate`.
+regions (unclosed tags, mismatched format names) are found in the same single
+pass, kept on the trajectory and reported by `validate`.
 
 The copy check compares format bodies against a `DocIndex`, the normalised
 n-gram set of a query's documents. A rollout builds one index per query and
@@ -18,9 +19,8 @@ plain document list and builds the index itself.
 """
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from ._textnorm import norm_tokens
@@ -74,6 +74,9 @@ class Trajectory:
     raw: str
     blocks: tuple[Block, ...]
     answer: str | None
+    # grammar issues found while parsing; `validate` reports them, so the
+    # serialized form leaves them out
+    grammar_violations: tuple[Violation, ...]
 
     def format_blocks(self) -> tuple[Block, ...]:
         return tuple(b for b in self.blocks if b.kind is BlockKind.FORMAT)
@@ -87,22 +90,6 @@ class Trajectory:
             "blocks": [b.to_dict() for b in self.blocks],
             "answer": self.answer,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Trajectory":
-        blocks = tuple(
-            Block(
-                kind=BlockKind(b["kind"]),
-                content=b["content"],
-                span=tuple(b["span"]),
-                format_name=b.get("format_name"),
-            )
-            for b in d["blocks"]
-        )
-        return cls(raw=d["raw"], blocks=blocks, answer=d.get("answer"))
 
 
 @dataclass(frozen=True)
@@ -217,16 +204,19 @@ def _scan(raw: str) -> tuple[list[Block], list[Violation]]:
 def parse_trajectory(raw: str) -> Trajectory:
     """Parse raw generated text into an ordered block sequence.
 
-    Never fails: malformed regions are skipped here and surfaced by
-    `validate`. The answer is the content of the first answer block, trimmed.
+    Never fails: malformed regions are skipped here, kept as grammar
+    violations and reported by `validate`. The answer is the content of the
+    first answer block, trimmed.
     """
-    blocks, _ = _scan(raw)
+    blocks, issues = _scan(raw)
     answer = None
     for b in blocks:
         if b.kind is BlockKind.ANSWER:
             answer = b.content.strip()
             break
-    return Trajectory(raw=raw, blocks=tuple(blocks), answer=answer)
+    return Trajectory(
+        raw=raw, blocks=tuple(blocks), answer=answer, grammar_violations=tuple(issues)
+    )
 
 
 def extract_formats(traj: Trajectory) -> list[tuple[str, str]]:
@@ -279,9 +269,7 @@ def validate(
         raise ValueError(
             f"doc index holds {docs.n}-grams but the policy checks {policy.copy_ngram}-grams"
         )
-    violations: list[Violation] = []
-    _, grammar_issues = _scan(traj.raw)
-    violations.extend(grammar_issues)
+    violations = list(traj.grammar_violations)
 
     answer_seen = False
     for b in traj.blocks:

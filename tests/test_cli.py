@@ -9,6 +9,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from structrl import cli
 from structrl.backends import prompt_digest
 from structrl.cli import DEFAULTS, build_parser, main, parse_schedule, resolve_config
 from structrl.prompting import build_main_prompt
@@ -197,6 +198,24 @@ class TestRolloutCommand:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("field", ["docs", "golden_answers"])
+    def test_empty_field_fails_at_load_with_line(
+        self, tmp_path, capsys, monkeypatch, golden_trace, golden_docs, golden_golds, field
+    ):
+        dataset, fixtures = write_fixtures(tmp_path, golden_trace, golden_docs, golden_golds)
+        first, second = dataset.read_text("utf-8").splitlines()
+        bad = {**json.loads(second), field: []}
+        dataset.write_text(first + "\n" + json.dumps(bad) + "\n", "utf-8")
+        monkeypatch.setattr(cli, "make_backend", lambda *a, **kw: pytest.fail("backend built"))
+        out_dir = tmp_path / "out"
+        code = main(
+            ["rollout", "--dataset", str(dataset), "--fixtures", str(fixtures), "--out", str(out_dir)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {dataset} line 2: field '{field}' is empty\n"
+        assert not out_dir.exists()
 
 
 class TestScoreExport:
@@ -436,6 +455,12 @@ def test_record_missing_field_names_file_and_line(
 ):
     records = tmp_path / "records.jsonl"
     records.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", "utf-8")
+    assert main(reader_argv(tmp_path, command, flag, records)) == 1
+    assert capsys.readouterr().err == f"error: {records} line 2: missing field '{field}'\n"
+
+
+def reader_argv(tmp_path, command, flag, records):
+    """Arguments that run a JSONL-reading subcommand on ``records``."""
     argv = [command, flag, str(records)]
     if command == "eval":
         dataset = tmp_path / "dataset.jsonl"
@@ -445,8 +470,27 @@ def test_record_missing_field_names_file_and_line(
             "utf-8",
         )
         argv += ["--dataset", str(dataset)]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: {records} line 2: missing field '{field}'\n"
+    elif command == "score-export":
+        argv += ["--out", str(tmp_path / "signals.jsonl")]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "command, flag, good",
+    [
+        ("eval", "--predictions", {"id": "q1", "prediction": "x"}),
+        ("validate", "--trajectories", {"raw": "<answer>x</answer>"}),
+        ("density", "--corpus", {"facts": ["f q"], "raw_docs": "pad f q"}),
+        ("score-export", "--rollouts", {"query": {"id": "q1"}, "pairs": []}),
+        ("sweep-lambda", "--rollouts", {"query": {"id": "q1"}, "pairs": []}),
+    ],
+    ids=["eval", "validate", "density", "score-export", "sweep-lambda"],
+)
+def test_invalid_json_line_names_file_and_line(tmp_path, capsys, command, flag, good):
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps(good) + "\n{bad\n", "utf-8")
+    assert main(reader_argv(tmp_path, command, flag, records)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {records} line 2: invalid JSON: ")
 
 
 class TestConvertAndSample:

@@ -2,11 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from structrl.errors import EmptyDocs, InvalidName, NoFormats
+from structrl.errors import EmptyDocs, NoFormats
 from structrl.prompting import (
     PREDEFINED_FORMATS,
-    FormatOrigin,
-    FormatRegistry,
     build_main_prompt,
     build_reinference_prompt,
     join_format_bodies,
@@ -32,8 +30,8 @@ class TestTemplates:
     def test_main_template_carries_strict_rules(self):
         t = main_template()
         assert "STRICT FORMAT RULES" in t
-        for spec in PREDEFINED_FORMATS:
-            assert f"{spec.name}:" in t
+        for name in PREDEFINED_FORMATS:
+            assert f"{name}:" in t
 
 
 class TestMainPrompt:
@@ -95,56 +93,7 @@ class TestReinferencePrompt:
 
 
 class TestRegistry:
+    """The predefined formats: names only, described by the main template."""
+
     def test_predefined_set(self):
-        names = {s.name for s in PREDEFINED_FORMATS}
-        assert names == {"Chunk", "Knowledge Graph", "Table", "Catalogue", "Algorithm"}
-        assert all(s.origin is FormatOrigin.PREDEFINED for s in PREDEFINED_FORMATS)
-
-    def test_register_dynamic(self):
-        reg = FormatRegistry()
-        spec = reg.register_dynamic("date_comparison")
-        assert spec.origin is FormatOrigin.DYNAMIC
-        assert reg.lookup("date_comparison") == spec
-
-    def test_register_is_idempotent(self):
-        reg = FormatRegistry()
-        first = reg.register_dynamic("timeline", "ordered events")
-        second = reg.register_dynamic("timeline", "different description")
-        assert first is second
-
-    def test_predefined_names_cannot_be_shadowed(self):
-        reg = FormatRegistry()
-        spec = reg.register_dynamic("table")
-        assert spec.origin is FormatOrigin.PREDEFINED
-        assert spec.name == "Table"
-
-    def test_invalid_name_rejected(self):
-        reg = FormatRegistry()
-        with pytest.raises(InvalidName):
-            reg.register_dynamic("")
-        with pytest.raises(InvalidName):
-            reg.register_dynamic("a<b>")
-
-    def test_insertion_order_preserved(self):
-        reg = FormatRegistry()
-        reg.register_dynamic("zeta")
-        reg.register_dynamic("alpha")
-        names = reg.names()
-        assert names[:5] == [s.name for s in PREDEFINED_FORMATS]
-        assert names[5:] == ["zeta", "alpha"]
-
-    def test_concurrent_registration_single_spec(self):
-        import threading
-
-        reg = FormatRegistry()
-        results = []
-
-        def worker():
-            results.append(reg.register_dynamic("shared_format"))
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len({id(r) for r in results}) == 1
+        assert PREDEFINED_FORMATS == ("Chunk", "Knowledge Graph", "Table", "Catalogue", "Algorithm")

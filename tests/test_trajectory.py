@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structrl import trajectory
 from structrl.trajectory import (
     BlockKind,
     DocIndex,
     Rule,
-    Trajectory,
     ValidationPolicy,
     contains_copied_ngram,
     extract_formats,
@@ -79,10 +79,10 @@ class TestParse:
         start, end = block.span
         assert raw[start:end] == "<think>body</think>"
 
-    def test_json_round_trip(self, golden_trace):
-        traj = parse_trajectory(golden_trace)
-        again = Trajectory.from_dict(traj.to_dict())
-        assert again == traj
+    def test_grammar_violations_kept_but_not_serialized(self):
+        traj = parse_trajectory("<think>never closed<answer>a</answer>")
+        assert [v.rule_id for v in traj.grammar_violations] == [Rule.UNCLOSED_TAG]
+        assert set(traj.to_dict()) == {"raw", "blocks", "answer"}
 
     def test_block_serialization_field_names(self):
         block = parse_trajectory("<format: t>x</format: t>").blocks[0]
@@ -220,6 +220,20 @@ class TestValidate:
         raw = f"<think>{doc}</think><answer>x</answer>"
         report = validate(parse_trajectory(raw), copy_source(form, [doc]))
         assert Rule.COPIED_CONTENT not in report.rules()
+
+    def test_each_trajectory_is_scanned_once(self, monkeypatch):
+        scanned = []
+        real_scan = trajectory._scan
+
+        def counting_scan(raw):
+            scanned.append(raw)
+            return real_scan(raw)
+
+        monkeypatch.setattr(trajectory, "_scan", counting_scan)
+        raw = "<think>never closed<format: t>x</format: u><answer>y</answer>"
+        report = validate(parse_trajectory(raw), [])
+        assert scanned == [raw]
+        assert {Rule.UNCLOSED_TAG, Rule.MISMATCHED_FORMAT_NAME} <= report.rules()
 
     def test_index_for_another_ngram_length_is_rejected(self):
         with pytest.raises(ValueError):
