@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -68,22 +69,17 @@ class MockBackend:
       2. first entry of ``<fixtures>/rules.json`` (a JSON array of
          ``{"contains": ..., "response": ...}``) whose substring appears in
          the prompt;
-      3. BackendError.
+      3. BackendError, not retryable.
     Log-probs are synthesized deterministically from the digest.
     """
 
     def __init__(self, fixtures_dir: str | Path) -> None:
         self.fixtures_dir = Path(fixtures_dir)
-        self._rules: list[dict] | None = None
-
-    def _load_rules(self) -> list[dict]:
-        if self._rules is None:
-            rules_path = self.fixtures_dir / "rules.json"
-            if rules_path.exists():
-                self._rules = json.loads(rules_path.read_text("utf-8"))
-            else:
-                self._rules = []
-        return self._rules
+        # read once here, before any thread can call generate
+        rules_path = self.fixtures_dir / "rules.json"
+        self._rules: list[dict] = (
+            json.loads(rules_path.read_text("utf-8")) if rules_path.exists() else []
+        )
 
     def generate(self, prompt: str, sampling: SamplingParams) -> Generation:
         digest = prompt_digest(prompt, sampling.seed)
@@ -91,13 +87,15 @@ class MockBackend:
         if fixture.exists():
             text = fixture.read_text("utf-8")
         else:
-            for rule in self._load_rules():
+            for rule in self._rules:
                 if rule["contains"] in prompt:
                     text = rule["response"]
                     break
             else:
+                # the same call misses again, so retrying cannot help
                 raise BackendError(
-                    f"no fixture {digest}.txt and no matching rule in {self.fixtures_dir}"
+                    f"no fixture {digest}.txt and no matching rule in {self.fixtures_dir}",
+                    retryable=False,
                 )
         return Generation(text, _synthetic_logprobs(digest, text))
 
@@ -114,6 +112,11 @@ class HTTPBackend:
     plus optional ``logprobs.token_logprobs``. The service reports one
     log-prob vector; it stands in for all three policy roles, which makes
     ratios 1 and KL 0 until a trainer supplies real per-policy scores.
+
+    Each thread posts through its own ``requests.Session``, since sessions
+    are not documented as thread-safe; a session passed in is used as given.
+    A 4xx response other than 429 raises a BackendError that is not
+    retryable.
     """
 
     def __init__(
@@ -129,7 +132,16 @@ class HTTPBackend:
         self.endpoint = endpoint
         self.model = model
         self.timeout = timeout
-        self.session = session or requests.Session()
+        self._session = session
+        self._local = threading.local()
+
+    @property
+    def session(self) -> requests.Session:
+        if self._session is not None:
+            return self._session
+        if not hasattr(self._local, "session"):
+            self._local.session = requests.Session()
+        return self._local.session
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -155,7 +167,11 @@ class HTTPBackend:
             resp.raise_for_status()
             payload = resp.json()
         except requests.RequestException as exc:
-            raise BackendError(f"generation request failed: {exc}") from exc
+            status = getattr(exc.response, "status_code", None)
+            client_error = status is not None and 400 <= status < 500 and status != 429
+            raise BackendError(
+                f"generation request failed: {exc}", retryable=not client_error
+            ) from exc
         except ValueError as exc:
             raise BackendError(f"non-JSON response from {self.endpoint}") from exc
         try:

@@ -28,7 +28,7 @@ from .density import (
     run_corpus,
 )
 from .backends import ENDPOINT_ENV, make_backend
-from .errors import MissingField, StructRLError
+from .errors import MissingField, ParseError, StructRLError
 from .grpo import ObjectiveConfig, RewardGroup, TokenLogProbs, objective, write_training_signals
 from .reward import LambdaSchedule
 from .rollout import RolloutConfig, read_rollout_jsonl, rescore_records, run_rollouts, write_rollout_jsonl
@@ -259,8 +259,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for lineno, record in ds.read_records(args.predictions):
         qid = str(_field(record, "id", args.predictions, lineno))
         if qid not in instances:
-            print(f"line {lineno}: unknown prediction id {qid!r}", file=sys.stderr)
-            return 1
+            raise ParseError(f"unknown prediction id {qid!r}", lineno, args.predictions)
         prediction = _field(record, "prediction", args.predictions, lineno)
         pairs.append((prediction, list(instances[qid].golds)))
     summary = ev.evaluate(pairs)

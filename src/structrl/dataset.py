@@ -114,19 +114,23 @@ def sample(instances: list[QueryInstance], n: int, seed: int) -> list[QueryInsta
     return arr[:n]
 
 
-def convert_record(record: dict) -> QueryInstance:
+def convert_record(
+    record: object, line: int | None = None, path: object = None
+) -> QueryInstance:
     """Map one raw multi-hop QA record onto the package schema.
 
     Accepts records already in the package schema unchanged. Raw records use
     `_id`, `answer` (single text), and `context` as [title, [sentence, ...]]
     pairs; each pair becomes one doc: the title, a newline, and the sentences
-    concatenated.
+    concatenated. Errors name `path` and `line` when given.
     """
+    if not isinstance(record, dict):
+        raise ParseError("record is not a JSON object", line, path)
     if all(name in record for name in REQUIRED_FIELDS):
-        return QueryInstance.from_dict(record)
+        return QueryInstance.from_dict(record, line, path)
     for name in ("_id", "question", "answer", "context"):
         if name not in record:
-            raise MissingField(name)
+            raise MissingField(name, line, path)
     docs = tuple(
         f"{title}\n{''.join(sentences)}" for title, sentences in record["context"]
     )
@@ -139,19 +143,24 @@ def convert_record(record: dict) -> QueryInstance:
 
 
 def convert_file(src: str | Path, dst: str | Path) -> int:
-    """Convert a raw JSON array or JSONL file; returns the instance count."""
+    """Convert a raw JSON array or JSONL file; returns the instance count.
+
+    Errors in a JSONL source name the file and line; in a JSON array, the file.
+    """
     src = Path(src)
     with _open_text(src) as fh:
-        if fh.read(1) == "[":
+        is_array = fh.read(1) == "["
+        if is_array:
             fh.seek(0)
-            records = json.load(fh)
-        else:
-            records = [record for _, record in read_records(src)]
-    instances = [convert_record(r) for r in records]
+            array = json.load(fh)
+    records = [(None, record) for record in array] if is_array else read_records(src)
     seen: set[str] = set()
-    for inst in instances:
+    instances = []
+    for line, record in records:
+        inst = convert_record(record, line, src)
         if inst.id in seen:
-            raise DuplicateId(f"duplicate id {inst.id!r}")
+            raise DuplicateId(f"duplicate id {inst.id!r}", line, src)
         seen.add(inst.id)
+        instances.append(inst)
     write_jsonl(dst, instances)
     return len(instances)

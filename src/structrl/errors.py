@@ -1,8 +1,8 @@
 """Exception types raised across the package.
 
 All inherit from StructRLError so callers can catch package failures in one
-clause. Parse errors carry the 1-based line number of the offending record
-and, when known, name its file.
+clause. Parse errors name, when known, the file and the 1-based line number
+of the offending record.
 """
 from __future__ import annotations
 
@@ -48,15 +48,25 @@ class LengthMismatch(StructRLError):
 
 
 class BackendError(StructRLError):
-    """Generation backend failed after exhausting retries."""
+    """Generation backend call failed.
+
+    ``retryable`` is False when repeating the same request cannot succeed,
+    such as a client error or a prompt no mock fixture answers.
+    """
+
+    def __init__(self, message: str, retryable: bool = True) -> None:
+        super().__init__(message)
+        self.retryable = retryable
 
 
 class ParseError(StructRLError):
     """Malformed dataset record."""
 
     def __init__(self, message: str, line: int | None = None, path: object = None) -> None:
-        where = f"line {line}" if path is None else f"{path} line {line}"
-        super().__init__(message if line is None else f"{where}: {message}")
+        where = [] if path is None else [str(path)]
+        if line is not None:
+            where.append(f"line {line}")
+        super().__init__(f"{' '.join(where)}: {message}" if where else message)
         self.line = line
 
 

@@ -6,6 +6,9 @@ documents, so its reward measures whether the structures carry the answer.
 Failed samples stay in the group (scored 0 and flagged) to keep group size
 and advantage semantics stable. All seeds derive from (query id, sample
 index, base seed), which makes output independent of parallelism degree.
+At parallelism N > 1, N groups are in flight and their K samples run
+concurrently, each re-inference call starting as soon as its own primary
+call returns.
 
 Both passes of every sample are validated against one `DocIndex` per query:
 the normalised n-grams of its documents, built when the group starts and
@@ -16,8 +19,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -151,13 +155,13 @@ class RolloutGroup:
 def _generate_with_retries(
     backend: GenerationBackend, prompt: str, sampling: SamplingParams, retries: int
 ) -> Generation:
-    last: BackendError | None = None
-    for _ in range(retries + 1):
+    """Up to ``retries`` more attempts, stopping at an error that is not retryable."""
+    for attempt in range(retries + 1):
         try:
             return backend.generate(prompt, sampling)
         except BackendError as exc:
-            last = exc
-    raise last
+            if not exc.retryable or attempt == retries:
+                raise
 
 
 def _failed_pair(seed: int, lambda_: float, reason: str) -> TrajectoryPair:
@@ -178,16 +182,17 @@ def _failed_pair(seed: int, lambda_: float, reason: str) -> TrajectoryPair:
 def _rollout_sample(
     query: QueryInstance,
     index: int,
+    prompt: str,
     lambda_: float,
     backend: GenerationBackend,
     config: RolloutConfig,
     doc_index: DocIndex,
 ) -> TrajectoryPair:
+    """One sample: primary call, then its re-inference call as soon as it returns."""
     seed = derive_seed(query.id, index, config.base_seed)
     sampling = SamplingParams(
         temperature=config.temperature, max_tokens=config.max_tokens, seed=seed
     )
-    prompt = build_main_prompt(query.question, list(query.docs))
     try:
         gen = _generate_with_retries(backend, prompt, sampling, config.retries)
     except BackendError as exc:
@@ -234,14 +239,23 @@ def rollout_one(
     backend: GenerationBackend,
     config: RolloutConfig = RolloutConfig(),
     step: int = 0,
+    pool: Executor | None = None,
 ) -> RolloutGroup:
-    """One group: K sampled pairs for a query plus centered advantages."""
+    """One group: K sampled pairs for a query plus centered advantages.
+
+    The K samples run on ``pool`` when one is given, else one after another
+    in the caller's thread; pairs keep sample order either way.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     doc_index = DocIndex(query.docs, ValidationPolicy().copy_ngram)
-    pairs = tuple(
-        _rollout_sample(query, i, lambda_, backend, config, doc_index) for i in range(k)
-    )
+    # the K primary prompts are byte-identical
+    prompt = build_main_prompt(query.question, list(query.docs))
+
+    def sample(i: int) -> TrajectoryPair:
+        return _rollout_sample(query, i, prompt, lambda_, backend, config, doc_index)
+
+    pairs = tuple((map if pool is None else pool.map)(sample, range(k)))
     advantages = group_advantages(RewardGroup(tuple(p.breakdown.total for p in pairs)))
     return RolloutGroup(query, pairs, advantages, lambda_, step)
 
@@ -253,21 +267,27 @@ def run_rollouts(
 ) -> Iterator[RolloutGroup]:
     """One group per query, in dataset order regardless of completion order.
 
-    The query's position is its step index for the lambda schedule.
+    The query's position is its step index for the lambda schedule. At
+    parallelism N > 1, N groups are in flight and each runs its K samples on
+    one shared pool of N x K threads, so every in-flight sample has a thread.
+    At 1 everything runs in the caller's thread.
     """
     queries = list(dataset)
 
-    def _one(item: tuple[int, QueryInstance]) -> RolloutGroup:
+    def _one(item: tuple[int, QueryInstance], pool: Executor | None = None) -> RolloutGroup:
         step, query = item
         lam = lambda_at(config.lambda_schedule, step)
-        return rollout_one(query, config.k, lam, backend, config, step=step)
+        return rollout_one(query, config.k, lam, backend, config, step=step, pool=pool)
 
     if config.parallelism <= 1:
         for item in enumerate(queries):
             yield _one(item)
         return
-    with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-        yield from pool.map(_one, enumerate(queries))
+    with (
+        ThreadPoolExecutor(max_workers=config.parallelism * config.k) as samples,
+        ThreadPoolExecutor(max_workers=config.parallelism) as groups,
+    ):
+        yield from groups.map(partial(_one, pool=samples), enumerate(queries))
 
 
 def write_rollout_jsonl(path: str | Path, groups: Iterable[RolloutGroup]) -> int:

@@ -40,8 +40,17 @@ class TestMockBackend:
         assert backend.generate("only beta", SamplingParams()).text == "second"
 
     def test_missing_fixture_and_rules(self, tmp_path):
-        with pytest.raises(BackendError):
+        with pytest.raises(BackendError) as info:
             MockBackend(tmp_path).generate("anything", SamplingParams())
+        # the same call would miss again
+        assert not info.value.retryable
+
+    def test_rules_read_at_construction(self, tmp_path):
+        rules_path = tmp_path / "rules.json"
+        rules_path.write_text(json.dumps([{"contains": "", "response": "ok"}]), "utf-8")
+        backend = MockBackend(tmp_path)
+        rules_path.unlink()
+        assert backend.generate("p", SamplingParams()).text == "ok"
 
     def test_deterministic_logprobs(self, tmp_path):
         (tmp_path / "rules.json").write_text(

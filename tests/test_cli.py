@@ -341,12 +341,18 @@ class TestEvalCommand:
     def test_unknown_id_exits_nonzero(self, tmp_path, capsys):
         dataset = self.dataset(tmp_path)
         predictions = tmp_path / "preds.jsonl"
-        predictions.write_text(json.dumps({"id": "ghost", "prediction": "x"}) + "\n", "utf-8")
+        predictions.write_text(
+            json.dumps({"id": "q1", "prediction": "x"}) + "\n"
+            + json.dumps({"id": "zz", "prediction": "x"}) + "\n",
+            "utf-8",
+        )
         code = main(
             ["eval", "--predictions", str(predictions), "--dataset", str(dataset)]
         )
         assert code == 1
-        assert "unknown prediction id" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {predictions} line 2: unknown prediction id 'zz'\n"
+        )
 
 
 class TestDensityCommand:
@@ -513,6 +519,21 @@ class TestConvertAndSample:
         assert record["id"] == "abc"
         assert record["golden_answers"] == ["Ada"]
         assert record["docs"] == ["Bio\nAda wrote it. She was first."]
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".json"])
+    def test_convert_dataset_missing_field_names_file(self, tmp_path, capsys, suffix):
+        good = {"_id": "a", "question": "?", "answer": "x", "context": [["T", ["s"]]]}
+        bad = {"_id": "b", "question": "?", "context": [["T", ["s"]]]}
+        src = tmp_path / f"raw{suffix}"
+        if suffix == ".json":
+            src.write_text(json.dumps([good, bad]), "utf-8")
+            where = f"{src}"
+        else:
+            src.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", "utf-8")
+            where = f"{src} line 2"
+        out = tmp_path / "converted.jsonl"
+        assert main(["convert-dataset", "--src", str(src), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {where}: missing field 'answer'\n"
 
     def dataset(self, tmp_path, n=10):
         path = tmp_path / "big.jsonl"

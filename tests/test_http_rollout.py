@@ -1,0 +1,249 @@
+"""Rollouts against an in-test threaded loopback completions server.
+
+The server answers through a ``MockBackend`` after a short delay, fails the
+first attempt of some requests with a 503, and answers a prompt that no rule
+matches with a 404. It counts requests in flight, and requests that arrive
+while another with the same prompt is still in flight.
+"""
+import hashlib
+import json
+import sys
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+import pytest
+import requests
+
+from structrl.backends import HTTPBackend, MockBackend, SamplingParams, prompt_digest
+from structrl.cli import main
+from structrl.dataset import QueryInstance
+from structrl.errors import BackendError
+from structrl.prompting import build_main_prompt
+from structrl.rollout import RolloutConfig, derive_seed, rollout_one
+
+DELAY_S = 0.01
+K = 4
+
+
+class Stub:
+    """Server state; every access holds the lock."""
+
+    def __init__(self, backend: MockBackend, status: int | None) -> None:
+        self.backend = backend
+        self.status = status  # answer every request with this status, when set
+        self.lock = threading.Lock()
+        self.requests = 0
+        self.in_flight = 0
+        self.max_in_flight = 0
+        self.prompt_in_flight: dict[str, int] = {}
+        self.overlapping = 0
+        self.seen: set[str] = set()
+        self.injected = 0
+
+    def arrive(self, prompt: str, key: str) -> bool:
+        """Record an arrival; True when it is the first attempt of a flaky key."""
+        with self.lock:
+            self.requests += 1
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+            self.overlapping += self.prompt_in_flight.get(prompt, 0) > 0
+            self.prompt_in_flight[prompt] = self.prompt_in_flight.get(prompt, 0) + 1
+            flaky = key not in self.seen and hashlib.sha256(key.encode()).digest()[0] < 40
+            self.seen.add(key)
+            self.injected += flaky
+        return flaky
+
+    def depart(self, prompt: str) -> None:
+        with self.lock:
+            self.in_flight -= 1
+            self.prompt_in_flight[prompt] -= 1
+
+    def respond(self, body: dict) -> tuple[int, dict]:
+        prompt, seed = body["prompt"], int(body["seed"])
+        flaky = self.arrive(prompt, prompt_digest(prompt, seed))
+        try:
+            time.sleep(DELAY_S)
+            if self.status is not None:
+                return self.status, {"error": "fixed status"}
+            if flaky:
+                return 503, {"error": "transient"}
+            try:
+                gen = self.backend.generate(prompt, SamplingParams(seed=seed))
+            except BackendError as exc:
+                return 404, {"error": str(exc)}
+            lps = list(gen.logprobs.policy)
+            return 200, {"choices": [{"text": gen.text, "logprobs": {"token_logprobs": lps}}]}
+        finally:
+            self.depart(prompt)
+
+
+class Handler(BaseHTTPRequestHandler):
+    stub: Stub
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        status, payload = self.stub.respond(body)
+        data = json.dumps(payload).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+def queries() -> list[QueryInstance]:
+    # q3 has no rule, so all its samples fail with a 404
+    return [
+        QueryInstance(f"q{i}", f"question {i}?", (f"alpha{i} doc", f"beta{i} doc"), ("Rome",))
+        for i in range(4)
+    ]
+
+
+def write_fixtures(tmp_path):
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    rules = [
+        {"contains": "Doc 1: alpha0", "response": "<answer> Rome </answer>"},
+        {
+            "contains": "Doc 1: alpha1",
+            "response": "<format: Table>| city | marker1 Rome |</format: Table>"
+                        "<answer> Rome </answer>",
+        },
+        {
+            "contains": "Doc 1: alpha2",
+            "response": "<format: Chunk>marker2 Paris</format: Chunk><answer> Rome </answer>",
+        },
+        {"contains": "marker1", "response": "<answer> Rome </answer>"},
+        {"contains": "marker2", "response": "<answer> Paris </answer>"},
+    ]
+    (fixtures / "rules.json").write_text(json.dumps(rules), "utf-8")
+    # sample 0 of each ruled query answers wrongly, so advantages are not all 0
+    for q in queries()[:3]:
+        digest = prompt_digest(
+            build_main_prompt(q.question, list(q.docs)), derive_seed(q.id, 0, 0)
+        )
+        (fixtures / f"{digest}.txt").write_text("<answer> Oslo </answer>", "utf-8")
+    return fixtures
+
+
+@pytest.fixture()
+def serve(tmp_path):
+    """Start a loopback server; returns (endpoint, stub)."""
+    servers = []
+
+    def start(status: int | None = None) -> tuple[str, Stub]:
+        handler = type("BoundHandler", (Handler,), {})
+        handler.stub = Stub(MockBackend(write_fixtures(tmp_path)), status)
+        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        server.daemon_threads = True
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        servers.append((server, thread))
+        return f"http://127.0.0.1:{server.server_address[1]}/v1/completions", handler.stub
+
+    yield start
+    for server, thread in servers:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def rollout(tmp_path, endpoint, parallel: int) -> dict[str, bytes]:
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("".join(json.dumps(q.to_dict()) + "\n" for q in queries()), "utf-8")
+    out = tmp_path / f"out-p{parallel}"
+    argv = ["rollout", "--backend", "http", "--endpoint", endpoint,
+            "--dataset", str(dataset), "--k", str(K), "--parallel", str(parallel),
+            "--out", str(out)]
+    assert main(argv) == 0
+    return {
+        name: (out / name).read_bytes()
+        for name in ("rollouts.jsonl", "training_signals.jsonl")
+    }
+
+
+def test_output_is_byte_identical_at_every_parallelism(tmp_path, serve, capsys):
+    endpoint, stub = serve()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runs = {p: rollout(tmp_path, endpoint, p) for p in (1, 2, 4)}
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[1] == runs[2] == runs[4]
+    assert len(set(capsys.readouterr().out.splitlines())) == 1
+    groups = [json.loads(line) for line in runs[1]["rollouts.jsonl"].splitlines()]
+    assert [g["query"]["id"] for g in groups] == ["q0", "q1", "q2", "q3"]
+    # the injected 503s were retried; the unmatched query failed without retries
+    assert stub.injected > 0
+    assert not any(p["failed"] for g in groups[:3] for p in g["pairs"])
+    assert all("404" in p["failure"] for p in groups[3]["pairs"])
+    assert any(p["reinferred"] for g in groups for p in g["pairs"])
+
+
+def test_samples_of_a_group_are_in_flight_together(tmp_path, serve):
+    endpoint, stub = serve()
+    rollout(tmp_path, endpoint, 2)
+    # two groups of K=4 samples; one request at a time per group would be 2
+    assert stub.max_in_flight > 2
+    assert stub.overlapping > 0
+
+
+@pytest.mark.parametrize("status, sent", [(404, 1), (429, 3), (503, 3)])
+def test_only_transient_statuses_are_retried(serve, status, sent):
+    endpoint, stub = serve(status)
+    query = queries()[0]
+    group = rollout_one(query, 1, 0.2, HTTPBackend(endpoint=endpoint), RolloutConfig(retries=2))
+    assert group.pairs[0].failed
+    assert f"{status} " in group.pairs[0].failure
+    assert stub.requests == sent
+
+
+def test_each_thread_posts_through_its_own_session(serve, monkeypatch):
+    endpoint, _ = serve()
+    used: list[tuple[int, requests.Session]] = []
+    original = requests.Session.post
+
+    def recording_post(self, *args, **kwargs):
+        used.append((threading.get_ident(), self))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(requests.Session, "post", recording_post)
+    backend = HTTPBackend(endpoint=endpoint)
+    prompt = build_main_prompt("question 0?", ["alpha0 doc"])
+    barrier = threading.Barrier(3)
+
+    def work():
+        barrier.wait(timeout=10)
+        for _ in range(2):
+            backend.generate(prompt, SamplingParams(seed=1))
+
+    threads = [threading.Thread(target=work) for _ in range(3)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    sessions = {ident: {id(s) for i, s in used if i == ident} for ident, _ in used}
+    assert len(used) == 6
+    assert all(len(ids) == 1 for ids in sessions.values())
+    assert len({next(iter(ids)) for ids in sessions.values()}) == 3
+
+
+def test_given_session_is_used_in_every_thread(serve):
+    endpoint, _ = serve()
+    session = requests.Session()
+    backend = HTTPBackend(endpoint=endpoint, session=session)
+    seen = []
+    threads = [threading.Thread(target=lambda: seen.append(backend.session)) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert seen == [session, session]

@@ -1,7 +1,9 @@
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from structrl import rollout
 from structrl.backends import MockBackend, SamplingParams
 from structrl.dataset import QueryInstance
 from structrl.errors import BackendError
@@ -101,6 +103,33 @@ class TestRolloutOne:
             assert pair.failed
             assert pair.breakdown.total == 0.0
             assert "primary generation" in pair.failure
+
+    def test_mock_miss_is_not_retried(self, tmp_path):
+        backend = MockBackend(tmp_path)
+        calls = []
+        original = backend.generate
+        backend.generate = lambda prompt, sampling: calls.append(1) or original(prompt, sampling)
+        query = QueryInstance("q", "capital?", ("some doc",), ("Rome",))
+        group = rollout_one(query, 2, 0.2, backend, RolloutConfig(retries=2))
+        assert all(p.failed for p in group.pairs)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pool"])
+    def test_main_prompt_built_once_per_query(
+        self, tmp_path, monkeypatch, golden_trace, golden_docs, golden_golds, pooled
+    ):
+        builds = []
+        original = rollout.build_main_prompt
+        monkeypatch.setattr(
+            rollout, "build_main_prompt", lambda *a: builds.append(a) or original(*a)
+        )
+        backend = golden_backend(tmp_path, golden_trace)
+        query = golden_query(golden_docs, golden_golds)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            group = rollout_one(query, 4, 0.2, backend, pool=pool if pooled else None)
+        assert len(builds) == 1
+        assert all(p.breakdown.reinf == 1.0 for p in group.pairs)
+        assert [p.seed for p in group.pairs] == [derive_seed(query.id, i, 0) for i in range(4)]
 
     def test_retry_budget(self, tmp_path):
         from structrl.backends import Generation
