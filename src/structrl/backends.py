@@ -165,13 +165,17 @@ class HTTPBackend:
                 self.endpoint, json=body, headers=self._headers(), timeout=self.timeout
             )
             resp.raise_for_status()
-            payload = resp.json()
         except requests.RequestException as exc:
             status = getattr(exc.response, "status_code", None)
             client_error = status is not None and 400 <= status < 500 and status != 429
             raise BackendError(
                 f"generation request failed: {exc}", retryable=not client_error
             ) from exc
+        # decoded apart from the request: requests' JSONDecodeError is also a
+        # RequestException, so the handler above would report it as a failure
+        # of the request itself
+        try:
+            payload = resp.json()
         except ValueError as exc:
             raise BackendError(f"non-JSON response from {self.endpoint}") from exc
         try:

@@ -64,36 +64,29 @@ class StructureCandidate:
         return self.label.strip().lower() in _PREDEFINED_LABELS
 
 
-def _fact_matches(text: str, fact: str, matcher: Matcher) -> bool:
-    if matcher is Matcher.NORMALIZED_CONTAINMENT:
-        fact_norm = normalize_text(fact)
-        if not fact_norm:
-            return False
-        return f" {fact_norm} " in f" {normalize_text(text)} "
-    fact_tokens = set(norm_tokens(fact))
-    return bool(fact_tokens) and fact_tokens <= set(norm_tokens(text))
-
-
-def matched_facts(a: str, facts: FactSet) -> tuple[str, ...]:
-    return tuple(f for f in facts.facts if _fact_matches(a, f, facts.matcher))
+def _matched(norm: str, facts: FactSet) -> tuple[str, ...]:
+    """Facts covered by ``norm``, a text already put through ``normalize_text``."""
+    if facts.matcher is Matcher.NORMALIZED_CONTAINMENT:
+        padded = f" {norm} "
+        return tuple(
+            f for f in facts.facts if (fn := normalize_text(f)) and f" {fn} " in padded
+        )
+    tokens = set(norm.split())
+    return tuple(f for f in facts.facts if (ft := set(norm_tokens(f))) and ft <= tokens)
 
 
 def info_content(a: str, facts: FactSet) -> int:
     """Number of gold facts the text covers."""
-    return len(matched_facts(a, facts))
-
-
-def token_length(a: str) -> int:
-    """Whitespace token count of the normalized text."""
-    return len(norm_tokens(a))
+    return len(_matched(normalize_text(a), facts))
 
 
 def density(a: str, facts: FactSet) -> DensityMeasurement:
-    """Facts covered per normalized token."""
-    length = token_length(a)
+    """Facts covered per normalized token; the text is normalized once."""
+    norm = normalize_text(a)
+    length = len(norm.split())
     if length == 0:
         raise EmptyText("density needs at least one token")
-    matched = matched_facts(a, facts)
+    matched = _matched(norm, facts)
     return DensityMeasurement(
         info=len(matched), length=length, rho=len(matched) / length, matched_facts=matched
     )

@@ -309,19 +309,22 @@ def rescore_records(records: list[dict], lambda_: float) -> list[dict]:
     """Recompute breakdowns and advantages under a new lambda.
 
     Pure re-scoring: generation is reused, the backend is never invoked.
+    Each output record is a shallow copy of its input with new ``lambda``,
+    ``pairs`` and ``advantages``; each output pair is a shallow copy of its
+    input pair with a new ``breakdown``. Every other field (``query``,
+    ``step``, ``primary``, ``reinferred``, both validations, ``logprobs``,
+    ``seed``, ``failed``, ``failure``) is shared with the input, not copied,
+    so callers must treat those fields as read-only. The input records are
+    never mutated.
     """
     out = []
     for record in records:
-        new = json.loads(json.dumps(record))
-        totals = []
-        for pair in new["pairs"]:
+        pairs = []
+        for pair in record["pairs"]:
             b = pair["breakdown"]
             breakdown = combined_reward(b["direct"], b["reinf"], lambda_)
-            pair["breakdown"] = breakdown.to_dict()
-            totals.append(breakdown.total)
-        new["lambda"] = lambda_
-        new["advantages"] = list(
-            group_advantages(RewardGroup(tuple(totals))).advantages
-        )
-        out.append(new)
+            pairs.append({**pair, "breakdown": breakdown.to_dict()})
+        totals = tuple(p["breakdown"]["total"] for p in pairs)
+        advantages = list(group_advantages(RewardGroup(totals)).advantages)
+        out.append({**record, "lambda": lambda_, "pairs": pairs, "advantages": advantages})
     return out

@@ -1,7 +1,10 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structrl._textnorm import normalize_text
 from structrl.density import (
     FactSet,
     Matcher,
@@ -86,6 +89,23 @@ class TestDensity:
         facts = FactSet(("alpha one", "missing fact"))
         m = density("alpha one here", facts)
         assert m.matched_facts == ("alpha one",)
+
+    @pytest.mark.parametrize("matcher", list(Matcher))
+    def test_text_is_normalized_once(self, matcher, monkeypatch):
+        seen = []
+
+        def counting(s):
+            seen.append(s)
+            return normalize_text(s)
+
+        # norm_tokens calls normalize_text too; sys.modules, because the
+        # package exports the function ``density`` under the module's name
+        for module in ("structrl._textnorm", "structrl.density"):
+            monkeypatch.setattr(sys.modules[module], "normalize_text", counting)
+        text = "Alpha one, beta two and the gamma three."
+        m = density(text, FactSet(("alpha one", "beta two", "delta four"), matcher))
+        assert m.matched_facts == ("alpha one", "beta two")
+        assert seen.count(text) == 1
 
 
 class TestBestStructure:

@@ -2,7 +2,8 @@
 
 The server answers through a ``MockBackend`` after a short delay, fails the
 first attempt of some requests with a 503, and answers a prompt that no rule
-matches with a 404. It counts requests in flight, and requests that arrive
+matches with a 404. It can instead answer every request with one fixed
+status and body. It counts requests in flight, and requests that arrive
 while another with the same prompt is still in flight.
 """
 import hashlib
@@ -29,9 +30,10 @@ K = 4
 class Stub:
     """Server state; every access holds the lock."""
 
-    def __init__(self, backend: MockBackend, status: int | None) -> None:
+    def __init__(self, backend: MockBackend, status: int | None, body: bytes) -> None:
         self.backend = backend
-        self.status = status  # answer every request with this status, when set
+        self.status = status  # answer every request with this status and body, when set
+        self.body = body
         self.lock = threading.Lock()
         self.requests = 0
         self.in_flight = 0
@@ -59,13 +61,13 @@ class Stub:
             self.in_flight -= 1
             self.prompt_in_flight[prompt] -= 1
 
-    def respond(self, body: dict) -> tuple[int, dict]:
+    def respond(self, body: dict) -> tuple[int, dict | bytes]:
         prompt, seed = body["prompt"], int(body["seed"])
         flaky = self.arrive(prompt, prompt_digest(prompt, seed))
         try:
             time.sleep(DELAY_S)
             if self.status is not None:
-                return self.status, {"error": "fixed status"}
+                return self.status, self.body
             if flaky:
                 return 503, {"error": "transient"}
             try:
@@ -84,7 +86,7 @@ class Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         status, payload = self.stub.respond(body)
-        data = json.dumps(payload).encode("utf-8")
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -135,9 +137,9 @@ def serve(tmp_path):
     """Start a loopback server; returns (endpoint, stub)."""
     servers = []
 
-    def start(status: int | None = None) -> tuple[str, Stub]:
+    def start(status: int | None = None, body: bytes = b'{"error": "fixed"}') -> tuple[str, Stub]:
         handler = type("BoundHandler", (Handler,), {})
-        handler.stub = Stub(MockBackend(write_fixtures(tmp_path)), status)
+        handler.stub = Stub(MockBackend(write_fixtures(tmp_path)), status, body)
         server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         server.daemon_threads = True
         thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
@@ -202,6 +204,15 @@ def test_only_transient_statuses_are_retried(serve, status, sent):
     assert group.pairs[0].failed
     assert f"{status} " in group.pairs[0].failure
     assert stub.requests == sent
+
+
+def test_non_json_body_is_reported_as_such(serve):
+    endpoint, stub = serve(200, b"not json")
+    with pytest.raises(BackendError) as info:
+        HTTPBackend(endpoint=endpoint).generate("question?", SamplingParams(seed=1))
+    assert str(info.value) == f"non-JSON response from {endpoint}"
+    assert info.value.retryable
+    assert stub.requests == 1
 
 
 def test_each_thread_posts_through_its_own_session(serve, monkeypatch):

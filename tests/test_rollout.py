@@ -1,3 +1,4 @@
+import copy
 import json
 from concurrent.futures import ThreadPoolExecutor
 
@@ -7,7 +8,8 @@ from structrl import rollout
 from structrl.backends import MockBackend, SamplingParams
 from structrl.dataset import QueryInstance
 from structrl.errors import BackendError
-from structrl.reward import LambdaSchedule
+from structrl.grpo import RewardGroup, group_advantages
+from structrl.reward import LambdaSchedule, combined_reward
 from structrl.rollout import (
     RolloutConfig,
     derive_seed,
@@ -276,3 +278,53 @@ class TestRescore:
         rescored = rescore_records(records, 0.5)
         assert rescored[0]["pairs"][0]["primary"] == records[0]["pairs"][0]["primary"]
         assert records[0]["pairs"][0]["breakdown"]["lambda"] == 0.2
+
+    @pytest.fixture()
+    def records(self, tmp_path, golden_trace, golden_docs, golden_golds):
+        backend = golden_backend(tmp_path, golden_trace)
+        group = rollout_one(golden_query(golden_docs, golden_golds), 3, 0.2, backend)
+        record = json.loads(json.dumps(group.to_dict()))
+        # a second group whose samples score differently, so advantages are not all 0
+        other = copy.deepcopy(record)
+        other["pairs"][1]["breakdown"].update(direct=0.0, reinf=1.0)
+        other["pairs"][2]["breakdown"].update(direct=0.0, reinf=0.0)
+        return [record, other]
+
+    def test_generation_fields_are_shared(self, records):
+        rescored = rescore_records(records, 0.5)
+        for new, old in zip(rescored, records):
+            assert new["query"] is old["query"]
+            for new_pair, old_pair in zip(new["pairs"], old["pairs"]):
+                assert new_pair["primary"] is old_pair["primary"]
+                assert new_pair["logprobs"] is old_pair["logprobs"]
+                assert new_pair["breakdown"] is not old_pair["breakdown"]
+
+    def test_input_records_are_not_mutated(self, records):
+        before = copy.deepcopy(records)
+        rescore_records(records, 0.5)
+        assert records == before
+
+    def test_later_call_leaves_earlier_output_alone(self, records):
+        first = rescore_records(records, 0.2)
+        snapshot = copy.deepcopy(first)
+        rescore_records(records, 1.5)
+        assert first == snapshot
+
+    @pytest.mark.parametrize("lambda_", [0.0, 0.05, 0.2, 1.5])
+    def test_matches_deep_copy_rescoring(self, records, lambda_):
+        """Same records, in the same key order, as re-scoring a JSON round trip."""
+        expected = []
+        for record in records:
+            new = json.loads(json.dumps(record))
+            totals = []
+            for pair in new["pairs"]:
+                b = pair["breakdown"]
+                breakdown = combined_reward(b["direct"], b["reinf"], lambda_)
+                pair["breakdown"] = breakdown.to_dict()
+                totals.append(breakdown.total)
+            new["lambda"] = lambda_
+            new["advantages"] = list(group_advantages(RewardGroup(tuple(totals))).advantages)
+            expected.append(new)
+        rescored = rescore_records(records, lambda_)
+        assert json.dumps(rescored) == json.dumps(expected)
+        assert any(a != 0 for r in rescored for a in r["advantages"])
