@@ -53,7 +53,6 @@ from .reward import (
     exact_match,
     f1,
     lambda_at,
-    normalize_answer,
     reinference_reward,
 )
 from .rollout import (
@@ -69,9 +68,7 @@ from .trajectory import (
     DocIndex,
     Rule,
     Trajectory,
-    ValidationPolicy,
     ValidationReport,
-    contains_copied_ngram,
     extract_formats,
     parse_trajectory,
     validate,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,9 +56,9 @@ def _synthetic_logprobs(digest: str, text: str) -> TokenLogProbs:
     reference = np.minimum(policy + rng.normal(0.0, 0.05, n), -1e-6)
     behavior = np.minimum(policy + rng.normal(0.0, 0.02, n), -1e-6)
     return TokenLogProbs(
-        policy=tuple(float(x) for x in policy),
-        reference=tuple(float(x) for x in reference),
-        behavior=tuple(float(x) for x in behavior),
+        policy=tuple(policy.tolist()),
+        reference=tuple(reference.tolist()),
+        behavior=tuple(behavior.tolist()),
     )
 
 
@@ -114,9 +115,9 @@ class HTTPBackend:
     ratios 1 and KL 0 until a trainer supplies real per-policy scores.
 
     Each thread posts through its own ``requests.Session``, since sessions
-    are not documented as thread-safe; a session passed in is used as given.
-    A 4xx response other than 429 raises a BackendError that is not
-    retryable.
+    are not documented as thread-safe. A 4xx response other than 429 raises
+    a BackendError that is not retryable. A 200 response without a string
+    text, or with a log-prob that is not a finite number, raises one that is.
     """
 
     def __init__(
@@ -124,7 +125,6 @@ class HTTPBackend:
         endpoint: str | None = None,
         model: str = "default",
         timeout: float = 120.0,
-        session: requests.Session | None = None,
     ) -> None:
         endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
         if not endpoint:
@@ -132,13 +132,10 @@ class HTTPBackend:
         self.endpoint = endpoint
         self.model = model
         self.timeout = timeout
-        self._session = session
         self._local = threading.local()
 
     @property
     def session(self) -> requests.Session:
-        if self._session is not None:
-            return self._session
         if not hasattr(self._local, "session"):
             self._local.session = requests.Session()
         return self._local.session
@@ -176,19 +173,30 @@ class HTTPBackend:
         # of the request itself
         try:
             payload = resp.json()
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise BackendError(f"non-JSON response from {self.endpoint}") from exc
         try:
             choice = payload["choices"][0]
-            text = choice["text"] if "text" in choice else choice["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+            field = "text" if "text" in choice else "message.content"
+            text = choice["text"] if field == "text" else choice["message"]["content"]
+            token_lps = (choice.get("logprobs") or {}).get("token_logprobs") or []
+        except (KeyError, IndexError, TypeError, AttributeError) as exc:
             raise BackendError(f"unexpected response shape: {payload!r:.200}") from exc
-        logprobs = None
-        token_lps = (choice.get("logprobs") or {}).get("token_logprobs")
-        if token_lps:
-            vec = tuple(float(x) for x in token_lps)
-            logprobs = TokenLogProbs(policy=vec, reference=vec, behavior=vec)
-        return Generation(text, logprobs)
+        if not isinstance(text, str):
+            raise self._malformed(field, text, "a string")
+        if not isinstance(token_lps, list):
+            raise self._malformed("token_logprobs", token_lps, "a list")
+        for i, x in enumerate(token_lps):
+            # type(), not isinstance(): a JSON true is not a number here
+            if type(x) not in (int, float) or not abs(x) <= sys.float_info.max:
+                raise self._malformed(f"token_logprobs[{i}]", x, "a finite number")
+        vec = tuple(map(float, token_lps))
+        return Generation(text, TokenLogProbs(vec, vec, vec) if vec else None)
+
+    def _malformed(self, field: str, value: object, expected: str) -> BackendError:
+        return BackendError(
+            f"malformed response from {self.endpoint}: {field} is {value!r:.80}, not {expected}"
+        )
 
 
 def make_backend(

@@ -32,7 +32,7 @@ from .errors import MissingField, ParseError, StructRLError
 from .grpo import ObjectiveConfig, RewardGroup, TokenLogProbs, objective, write_training_signals
 from .reward import LambdaSchedule
 from .rollout import RolloutConfig, read_rollout_jsonl, rescore_records, run_rollouts, write_rollout_jsonl
-from .trajectory import DocIndex, Rule, ValidationPolicy, parse_trajectory, validate
+from .trajectory import DocIndex, Rule, parse_trajectory, validate
 
 DEFAULTS = {
     "backend": "mock",
@@ -314,7 +314,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     docs: list[str] = []
     if args.docs:
         docs = json.loads(Path(args.docs).read_text("utf-8"))
-    doc_index = DocIndex(docs, ValidationPolicy().copy_ngram)
+    doc_index = DocIndex(docs)
     strict_hit = False
     for lineno, record in ds.read_records(args.trajectories):
         if isinstance(record, str):

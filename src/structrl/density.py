@@ -206,16 +206,6 @@ class SyntheticSpec:
     min_filler: int = 6
     max_filler: int = 12
 
-    def to_dict(self) -> dict:
-        return {
-            "n_instances": self.n_instances,
-            "seed": self.seed,
-            "min_facts": self.min_facts,
-            "max_facts": self.max_facts,
-            "min_filler": self.min_filler,
-            "max_filler": self.max_filler,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSpec":
         return cls(**{k: d[k] for k in d if k in cls.__dataclass_fields__})

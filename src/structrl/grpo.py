@@ -50,9 +50,6 @@ class TokenLogProbs:
 class ObjectiveConfig:
     epsilon: float = 0.2
     beta: float = 0.001
-    # ratio denominator: sampling-time snapshot by default; the reference
-    # model is an alternative reading of the same formula
-    ratio_denominator: str = "behavior"
 
 
 def _mean(xs: tuple[float, ...] | list[float]) -> float:
@@ -88,12 +85,11 @@ def kl_term(t: TokenLogProbs) -> float:
     return _mean(per_token)
 
 
-def sequence_ratio(t: TokenLogProbs, denominator: str = "behavior") -> float:
-    """exp of the mean per-token log-ratio; length-normalized by design."""
+def sequence_ratio(t: TokenLogProbs) -> float:
+    """exp of the mean per-token log-ratio policy - behavior; length-normalized by design."""
     if not t.policy:
         return 1.0
-    base = t.behavior if denominator == "behavior" else t.reference
-    return math.exp(_mean([p - b for p, b in zip(t.policy, base)]))
+    return math.exp(_mean([p - b for p, b in zip(t.policy, t.behavior)]))
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,7 @@ def objective(
         advantages = group_advantages(rewards).advantages
         group_signals: list[SampleSignal] = []
         for reward, adv, t in zip(rewards.rewards, advantages, logprobs):
-            ratio = sequence_ratio(t, cfg.ratio_denominator)
+            ratio = sequence_ratio(t)
             surrogate = clipped_term(ratio, adv, cfg.epsilon)
             kl = kl_term(t)
             terms.append(surrogate - cfg.beta * kl)

@@ -16,11 +16,6 @@ from .errors import EmptyGolds, InconsistentInput, NegativeLambda, ZeroSteps
 from .trajectory import Trajectory
 
 
-def normalize_answer(a: str) -> str:
-    """Lowercase, strip punctuation, drop articles, squeeze whitespace."""
-    return normalize_text(a)
-
-
 def _require_golds(golds: list[str]) -> None:
     if not golds:
         raise EmptyGolds("metric needs at least one gold answer")
@@ -29,8 +24,8 @@ def _require_golds(golds: list[str]) -> None:
 def exact_match(pred: str, golds: list[str]) -> float:
     """1.0 iff the normalized prediction equals any normalized gold."""
     _require_golds(golds)
-    p = normalize_answer(pred)
-    return max(1.0 if p == normalize_answer(g) else 0.0 for g in golds)
+    p = normalize_text(pred)
+    return max(1.0 if p == normalize_text(g) else 0.0 for g in golds)
 
 
 def _f1_single(pred_tokens: list[str], gold_tokens: list[str]) -> float:
@@ -86,10 +81,6 @@ class RewardBreakdown:
             "total": self.total,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RewardBreakdown":
-        return cls(d["direct"], d["reinf"], d["lambda"], d["total"])
-
 
 def combined_reward(direct: float, reinf: float, lambda_: float) -> RewardBreakdown:
     if lambda_ < 0:
@@ -135,13 +126,6 @@ class LambdaSchedule:
             "end": self.end,
             "steps": self.steps,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LambdaSchedule":
-        kind = ScheduleKind(d["kind"])
-        if kind is ScheduleKind.CONSTANT:
-            return cls.constant(d["value"])
-        return cls.linear(d["start"], d["end"], d["steps"])
 
 
 def lambda_at(schedule: LambdaSchedule, step: int) -> float:

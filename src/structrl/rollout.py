@@ -41,7 +41,6 @@ from .reward import (
 from .trajectory import (
     DocIndex,
     Trajectory,
-    ValidationPolicy,
     ValidationReport,
     extract_formats,
     parse_trajectory,
@@ -76,9 +75,6 @@ class RolloutConfig:
     temperature: float = 1.0
     max_tokens: int = 1024
     retries: int = 2
-    # validation rules that zero the pair's reward when they fire; empty by
-    # default (NoAnswer already scores 0 through the missing answer)
-    punitive_rules: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -89,7 +85,6 @@ class RolloutConfig:
             "temperature": self.temperature,
             "max_tokens": self.max_tokens,
             "retries": self.retries,
-            "punitive_rules": list(self.punitive_rules),
         }
 
 
@@ -164,13 +159,16 @@ def _generate_with_retries(
                 raise
 
 
+_NO_DOCS = DocIndex(())
+
+
 def _failed_pair(seed: int, lambda_: float, reason: str) -> TrajectoryPair:
     empty = parse_trajectory("")
     return TrajectoryPair(
         primary=empty,
         reinferred=None,
         breakdown=combined_reward(0.0, 0.0, lambda_),
-        primary_validation=validate(empty, []),
+        primary_validation=validate(empty, _NO_DOCS),
         reinferred_validation=None,
         logprobs=None,
         seed=seed,
@@ -217,10 +215,6 @@ def _rollout_sample(
 
     direct = direct_reward(primary, list(query.golds))
     reinf = reinference_reward(reinferred, had_formats, list(query.golds))
-    if config.punitive_rules and any(
-        v.rule_id.value in config.punitive_rules for v in primary_report.violations
-    ):
-        direct, reinf = 0.0, 0.0
     return TrajectoryPair(
         primary=primary,
         reinferred=reinferred,
@@ -248,7 +242,7 @@ def rollout_one(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    doc_index = DocIndex(query.docs, ValidationPolicy().copy_ngram)
+    doc_index = DocIndex(query.docs)
     # the K primary prompts are byte-identical
     prompt = build_main_prompt(query.question, list(query.docs))
 

@@ -13,9 +13,8 @@ regions (unclosed tags, mismatched format names) are found in the same single
 pass, kept on the trajectory and reported by `validate`.
 
 The copy check compares format bodies against a `DocIndex`, the normalised
-n-gram set of a query's documents. A rollout builds one index per query and
-shares it across the K samples and both passes; `validate` also accepts the
-plain document list and builds the index itself.
+`COPY_NGRAM`-token n-gram set of a query's documents. A rollout builds one
+index per query and shares it across the K samples and both passes.
 """
 from __future__ import annotations
 
@@ -24,6 +23,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ._textnorm import norm_tokens
+
+# a format body repeating this many consecutive document tokens is copied content
+COPY_NGRAM = 30
 
 FORMAT_NAME_RE = re.compile(r"^[A-Za-z0-9_\- ]+$")
 
@@ -124,13 +126,6 @@ class ValidationReport:
         }
 
 
-@dataclass(frozen=True)
-class ValidationPolicy:
-    """Knobs for the content checks; grammar checks are not configurable."""
-
-    copy_ngram: int = 30
-
-
 PLACEHOLDER_FORMAT_NAME = "format_name"
 PLACEHOLDER_FORMAT_BODY = "Your reformatted information"
 PLACEHOLDER_ANSWER_TEXT = "and"
@@ -225,13 +220,13 @@ def extract_formats(traj: Trajectory) -> list[tuple[str, str]]:
 
 
 class DocIndex:
-    """Normalised n-grams of a document set, built once per set.
+    """Normalised `COPY_NGRAM`-token n-grams of a document set, built once per set.
 
-    Answers whether a text repeats an n-token run from any of the documents.
+    Answers whether a text repeats such a run from any of the documents.
     """
 
-    def __init__(self, docs: tuple[str, ...] | list[str], n: int) -> None:
-        self.n = n
+    def __init__(self, docs: tuple[str, ...] | list[str]) -> None:
+        n = COPY_NGRAM
         self.grams: set[tuple[str, ...]] = set()
         for doc in docs:
             toks = norm_tokens(doc)
@@ -243,32 +238,17 @@ class DocIndex:
         if not self.grams:
             return False
         toks = norm_tokens(text)
-        n = self.n
+        n = COPY_NGRAM
         return any(tuple(toks[i : i + n]) in self.grams for i in range(len(toks) - n + 1))
 
 
-def contains_copied_ngram(text: str, docs: list[str], n: int) -> bool:
-    """True when any contiguous normalized n-gram from any doc appears in text."""
-    return n > 0 and DocIndex(docs, n).copied_in(text)
-
-
-def validate(
-    traj: Trajectory,
-    docs: list[str] | DocIndex,
-    policy: ValidationPolicy = ValidationPolicy(),
-) -> ValidationReport:
+def validate(traj: Trajectory, index: DocIndex) -> ValidationReport:
     """Check a parsed trajectory against the strict format rules.
 
-    ``docs`` is the source document list or a `DocIndex` built from it with
-    ``policy.copy_ngram``. Reports, never rejects: whether a violation affects
-    the reward is a policy decision made downstream.
+    ``index`` holds the source documents for the copy check. Reports, never
+    rejects: whether a violation affects the reward is a policy decision made
+    downstream.
     """
-    if not isinstance(docs, DocIndex):
-        docs = DocIndex(docs, policy.copy_ngram)
-    elif docs.n != policy.copy_ngram:
-        raise ValueError(
-            f"doc index holds {docs.n}-grams but the policy checks {policy.copy_ngram}-grams"
-        )
     violations = list(traj.grammar_violations)
 
     answer_seen = False
@@ -282,12 +262,12 @@ def validate(
                 violations.append(
                     Violation(Rule.EMPTY_FORMAT_BODY, b.span, f"format {b.format_name!r} has no body")
                 )
-            if docs.copied_in(b.content):
+            if index.copied_in(b.content):
                 violations.append(
                     Violation(
                         Rule.COPIED_CONTENT,
                         b.span,
-                        f"format body repeats a {docs.n}-token run from a source document",
+                        f"format body repeats a {COPY_NGRAM}-token run from a source document",
                     )
                 )
         elif b.kind is BlockKind.ANSWER and not answer_seen:

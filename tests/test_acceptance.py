@@ -37,7 +37,7 @@ from structrl.rollout import (
 )
 from structrl.trajectory import (
     BlockKind,
-    contains_copied_ngram,
+    DocIndex,
     extract_formats,
     parse_trajectory,
     validate,
@@ -65,7 +65,7 @@ def test_criterion_1_golden_parse(golden_trace, golden_docs, golden_golds):
             b.format_name for b in traj.blocks if b.kind is BlockKind.FORMAT
         ]
         assert format_names == ["table", "date_comparison"]
-        report = validate(traj, golden_docs)
+        report = validate(traj, DocIndex(golden_docs))
         assert report.is_clean, [v.rule_id for v in report.violations]
         assert exact_match(traj.answer, golden_golds) == 1.0
         assert time.perf_counter() - start < 1.0
@@ -243,7 +243,7 @@ def test_criterion_5_self_containment():
                 )
             parts.append(f"<answer> answer {i} </answer>")
             raw = "\n".join(parts)
-            assert contains_copied_ngram(raw, docs, 30)
+            assert DocIndex(docs).copied_in(raw)
 
             traj = parse_trajectory(raw)
             formats = extract_formats(traj)
@@ -251,7 +251,7 @@ def test_criterion_5_self_containment():
             prompt = build_reinference_prompt(question, formats)
             joined = "\n\n".join(body for _, body in formats)
             assert prompt == splice(reinference_template(), joined, question)
-            assert not contains_copied_ngram(prompt, docs, 30)
+            assert not DocIndex(docs).copied_in(prompt)
 
 
 def _determinism_fixture(tmp_path, golden_trace, golden_docs, golden_golds):

@@ -1,8 +1,11 @@
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from structrl.backends import (
     HTTPBackend,
@@ -86,13 +89,30 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=10),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=10), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+# bodies near the expected shape, so the text and log-prob checks are reached
+payloads = st.builds(
+    lambda text, lps: {"choices": [{"text": text, "logprobs": {"token_logprobs": lps}}]},
+    json_values,
+    json_values | st.lists(st.floats() | st.integers() | st.none(), max_size=5),
+)
+
+
 @pytest.fixture()
 def http_server():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval, so shutdown() does not wait the default 0.5 s
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/completions"
     server.shutdown()
+    server.server_close()
 
 
 class TestHTTPBackend:
@@ -138,11 +158,52 @@ class TestHTTPBackend:
         with pytest.raises(BackendError):
             HTTPBackend(endpoint=http_server).generate("p", SamplingParams())
 
-    def test_bad_shape_raises_backend_error(self, http_server):
+    @pytest.mark.parametrize(
+        "response, message",
+        [
+            ({"unexpected": []}, "unexpected response shape"),
+            (
+                {"choices": [{"text": "ok", "logprobs": {"token_logprobs": [None, -0.5]}}]},
+                "token_logprobs[0] is None, not a finite number",
+            ),
+            ({"choices": [{"text": None}]}, "text is None, not a string"),
+            ({"choices": [{"text": 5}]}, "text is 5, not a string"),
+            (
+                {"choices": [{"text": "ok", "logprobs": {"token_logprobs": "ab"}}]},
+                "token_logprobs is 'ab', not a list",
+            ),
+            (
+                {"choices": [{"text": "ok", "logprobs": {"token_logprobs": ["NaN"]}}]},
+                "token_logprobs[0] is 'NaN', not a finite number",
+            ),
+        ],
+        ids=["no_choices", "null_logprob", "null_text", "int_text", "str_logprobs", "str_nan"],
+    )
+    def test_bad_shape_raises_backend_error(self, http_server, response, message):
         _Handler.status = 200
-        _Handler.response = {"unexpected": []}
-        with pytest.raises(BackendError):
+        _Handler.response = response
+        with pytest.raises(BackendError) as info:
             HTTPBackend(endpoint=http_server).generate("p", SamplingParams())
+        assert message in str(info.value)
+
+    @given(json_values | payloads)
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_any_200_body_gives_a_clean_generation_or_backend_error(self, http_server, body):
+        """NaN and infinities go out as the bare JSON tokens Python writes."""
+        _Handler.status = 200
+        _Handler.response = body
+        try:
+            gen = HTTPBackend(endpoint=http_server).generate("p", SamplingParams())
+        except BackendError:
+            return
+        assert isinstance(gen.text, str)
+        if gen.logprobs is not None:
+            for vec in (gen.logprobs.policy, gen.logprobs.reference, gen.logprobs.behavior):
+                assert all(type(x) is float and math.isfinite(x) for x in vec)
 
     def test_endpoint_from_env(self, http_server, monkeypatch):
         monkeypatch.setenv("STRUCTRL_ENDPOINT", http_server)

@@ -186,6 +186,15 @@ class TestRolloutCommand:
         assert recorded["command"] == "rollout"
         assert recorded["seed"] == 9
         assert recorded["k"] == 2
+        assert recorded["config"] == {
+            "k": 2,
+            "lambda_schedule": {"kind": "constant", "value": 0.2},
+            "base_seed": 9,
+            "parallelism": 1,
+            "temperature": 1.0,
+            "max_tokens": 1024,
+            "retries": 2,
+        }
 
     def test_missing_dataset_exits_nonzero(self, tmp_path, capsys):
         code = main(

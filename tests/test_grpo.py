@@ -14,7 +14,6 @@ from structrl.grpo import (
     group_advantages,
     kl_term,
     objective,
-    sequence_ratio,
     write_training_signals,
 )
 
@@ -220,21 +219,6 @@ class TestObjective:
                 [(RewardGroup((1.0, 0.0)), [TokenLogProbs((), (), ())])],
                 ObjectiveConfig(),
             )
-
-    def test_reference_denominator_switch(self):
-        rng = np.random.default_rng(11)
-        lp = random_logprobs(rng, 6)
-        t = TokenLogProbs(*lp)
-        assert sequence_ratio(t, "behavior") != sequence_ratio(t, "reference")
-        j_b, _ = objective(
-            [(RewardGroup((1.0, 0.0)), [t, t])],
-            ObjectiveConfig(ratio_denominator="behavior"),
-        )
-        j_r, _ = objective(
-            [(RewardGroup((1.0, 0.0)), [t, t])],
-            ObjectiveConfig(ratio_denominator="reference"),
-        )
-        assert isinstance(j_b, float) and isinstance(j_r, float)
 
 
 class TestExport:

@@ -215,6 +215,25 @@ def test_non_json_body_is_reported_as_such(serve):
     assert stub.requests == 1
 
 
+def test_body_nested_too_deeply_to_decode_is_reported_as_non_json(serve):
+    endpoint, _ = serve(200, b"[" * 100_000 + b"]" * 100_000)
+    with pytest.raises(BackendError) as info:
+        HTTPBackend(endpoint=endpoint).generate("question?", SamplingParams(seed=1))
+    assert str(info.value) == f"non-JSON response from {endpoint}"
+
+
+def test_malformed_payload_fails_the_sample_not_the_run(serve):
+    # a null first log-prob, as servers that echo the prompt send it
+    endpoint, stub = serve(200, b'{"choices": [{"text": "<answer> Rome </answer>", '
+                                b'"logprobs": {"token_logprobs": [null, -0.5]}}]}')
+    group = rollout_one(queries()[0], K, 0.2, HTTPBackend(endpoint=endpoint), RolloutConfig(retries=0))
+    assert len(group.pairs) == K
+    for pair in group.pairs:
+        assert pair.failed
+        assert "token_logprobs[0] is None, not a finite number" in pair.failure
+    assert stub.requests == K
+
+
 def test_each_thread_posts_through_its_own_session(serve, monkeypatch):
     endpoint, _ = serve()
     used: list[tuple[int, requests.Session]] = []
@@ -244,17 +263,3 @@ def test_each_thread_posts_through_its_own_session(serve, monkeypatch):
     assert len(used) == 6
     assert all(len(ids) == 1 for ids in sessions.values())
     assert len({next(iter(ids)) for ids in sessions.values()}) == 3
-
-
-def test_given_session_is_used_in_every_thread(serve):
-    endpoint, _ = serve()
-    session = requests.Session()
-    backend = HTTPBackend(endpoint=endpoint, session=session)
-    seen = []
-    threads = [threading.Thread(target=lambda: seen.append(backend.session)) for _ in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=10)
-        assert not t.is_alive()
-    assert seen == [session, session]

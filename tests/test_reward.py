@@ -4,16 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from structrl._textnorm import normalize_text
 from structrl.errors import EmptyGolds, InconsistentInput, NegativeLambda, ZeroSteps
 from structrl.reward import (
     LambdaSchedule,
-    RewardBreakdown,
     combined_reward,
     direct_reward,
     exact_match,
     f1,
     lambda_at,
-    normalize_answer,
     reinference_reward,
 )
 from structrl.trajectory import parse_trajectory
@@ -25,19 +24,19 @@ answer_texts = st.text(
 
 class TestNormalize:
     def test_articles_punctuation_case(self):
-        assert normalize_answer("The Girl In Possession!") == "girl in possession"
+        assert normalize_text("The Girl In Possession!") == "girl in possession"
 
     def test_empty(self):
-        assert normalize_answer("") == ""
+        assert normalize_text("") == ""
 
     def test_accents_preserved(self):
         assert (
-            normalize_answer("Así en el cielo como en la tierra")
+            normalize_text("Así en el cielo como en la tierra")
             == "así en el cielo como en la tierra"
         )
 
     def test_whitespace_squeezed(self):
-        assert normalize_answer("  a   b\t c \n") == "b c"
+        assert normalize_text("  a   b\t c \n") == "b c"
 
 
 class TestExactMatch:
@@ -157,8 +156,7 @@ class TestCombinedReward:
 
     def test_json_field_names(self):
         d = combined_reward(1.0, 0.0, 0.2).to_dict()
-        assert set(d) == {"direct", "reinf", "lambda", "total"}
-        assert RewardBreakdown.from_dict(d) == combined_reward(1.0, 0.0, 0.2)
+        assert d == {"direct": 1.0, "reinf": 0.0, "lambda": 0.2, "total": 1.0}
 
 
 class TestLambdaSchedule:
@@ -185,7 +183,3 @@ class TestLambdaSchedule:
             LambdaSchedule.linear(0.3, 0.1, 7),
         ):
             assert lambda_at(sched, step) >= 0.0
-
-    def test_round_trip(self):
-        sched = LambdaSchedule.linear(0.0, 0.2, 100)
-        assert LambdaSchedule.from_dict(sched.to_dict()) == sched

@@ -1,8 +1,12 @@
 import copy
 import json
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structrl import rollout
 from structrl.backends import MockBackend, SamplingParams
@@ -13,6 +17,7 @@ from structrl.reward import LambdaSchedule, combined_reward
 from structrl.rollout import (
     RolloutConfig,
     derive_seed,
+    read_rollout_jsonl,
     rescore_records,
     rollout_one,
     run_rollouts,
@@ -152,23 +157,6 @@ class TestRolloutOne:
         failed = rollout_one(query, 1, 0.0, Flaky(2), RolloutConfig(retries=1))
         assert failed.pairs[0].failed
 
-    def test_punitive_rule_zeroes_reward(self, tmp_path):
-        doc = " ".join(f"w{i}" for i in range(40))
-        trace = f"<format: Chunk>{doc}</format: Chunk><answer> Rome </answer>"
-        rules = [
-            {"contains": "Doc 1: w0", "response": trace},
-            {"contains": "w0 w1", "response": "<answer> Rome </answer>"},
-        ]
-        (tmp_path / "rules.json").write_text(json.dumps(rules), "utf-8")
-        query = QueryInstance("q", "capital?", (doc,), ("Rome",))
-        lenient = rollout_one(query, 1, 0.2, MockBackend(tmp_path))
-        assert lenient.totals()[0] == pytest.approx(1.2)
-        strict = rollout_one(
-            query, 1, 0.2, MockBackend(tmp_path),
-            RolloutConfig(punitive_rules=("CopiedContent",)),
-        )
-        assert strict.totals()[0] == 0.0
-
     def test_pair_serialization_shape(self, tmp_path, golden_trace, golden_docs, golden_golds):
         backend = golden_backend(tmp_path, golden_trace)
         group = rollout_one(golden_query(golden_docs, golden_golds), 1, 0.2, backend)
@@ -248,9 +236,9 @@ class TestRunRollouts:
         builds = []
         original = DocIndex.__init__
 
-        def counting_init(self, docs, n):
+        def counting_init(self, docs):
             builds.append(tuple(docs))
-            original(self, docs, n)
+            original(self, docs)
 
         monkeypatch.setattr(DocIndex, "__init__", counting_init)
         backend = golden_backend(tmp_path, golden_trace, self._rules())
@@ -259,6 +247,28 @@ class TestRunRollouts:
         # the golden query's samples carry formats, so both passes are validated
         assert all(p.reinferred_validation is not None for p in groups[0].pairs)
         assert builds == [q.docs for q in queries]
+
+
+@pytest.fixture(scope="module")
+def mixed_rollout(tmp_path_factory, golden_trace, golden_docs, golden_golds):
+    """A backend and queries whose samples score every way: (1, 1), (1, 0),
+    (0, 1) and failed."""
+    fixtures = tmp_path_factory.mktemp("mixed")
+    wrong = golden_trace.replace(
+        "<answer> Así en el cielo como en la tierra </answer>", "<answer> Rome </answer>"
+    )
+    rules = [
+        {"contains": "Doc 1: plain", "response": "<think>t</think><answer> Rome </answer>"},
+        {"contains": "Doc 1: wrong", "response": wrong},
+    ]
+    backend = golden_backend(fixtures, golden_trace, rules)
+    queries = [
+        golden_query(golden_docs, golden_golds),
+        QueryInstance("plain", "capital?", ("plain doc",), ("Rome",)),
+        QueryInstance("wrong", QUESTION, ("wrong doc", *golden_docs), tuple(golden_golds)),
+        QueryInstance("missed", "capital?", ("no rule matches",), ("Rome",)),
+    ]
+    return backend, queries
 
 
 class TestRescore:
@@ -328,3 +338,26 @@ class TestRescore:
         rescored = rescore_records(records, lambda_)
         assert json.dumps(rescored) == json.dumps(expected)
         assert any(a != 0 for r in rescored for a in r["advantages"])
+
+    @given(
+        st.floats(0.0, 2.0, allow_nan=False),
+        st.floats(0.0, 2.0, allow_nan=False),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_rescored_records_equal_a_rollout_at_the_new_lambda(self, mixed_rollout, a, b):
+        """Prompts and seeds do not depend on lambda, so sweep-lambda's
+        re-scoring reproduces a rollout run at the new lambda byte for byte."""
+        backend, queries = mixed_rollout
+
+        def rollout_at(lambda_):
+            config = RolloutConfig(k=3, lambda_schedule=LambdaSchedule.constant(lambda_))
+            return run_rollouts(queries, config, backend)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rollouts.jsonl"
+            write_rollout_jsonl(path, rollout_at(a))
+            rescored = rescore_records(read_rollout_jsonl(path), b)
+        rerun = [g.to_dict() for g in rollout_at(b)]
+        assert json.dumps(rescored, ensure_ascii=False) == json.dumps(rerun, ensure_ascii=False)
+        scores = {(p["breakdown"]["direct"], p["breakdown"]["reinf"]) for r in rerun for p in r["pairs"]}
+        assert scores == {(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)}

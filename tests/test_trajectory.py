@@ -1,7 +1,7 @@
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from structrl import trajectory
@@ -9,8 +9,6 @@ from structrl.trajectory import (
     BlockKind,
     DocIndex,
     Rule,
-    ValidationPolicy,
-    contains_copied_ngram,
     extract_formats,
     parse_trajectory,
     validate,
@@ -137,72 +135,76 @@ class TestParseProperties:
     @given(st.text(max_size=200))
     def test_never_raises_on_arbitrary_text(self, raw):
         traj = parse_trajectory(raw)
-        validate(traj, ["some doc text"])
-
-    @given(
-        trajectory_texts(),
-        st.lists(st.text(alphabet="ab ", max_size=20), max_size=3),
-        st.integers(1, 3),
-    )
-    def test_prebuilt_index_gives_the_doc_list_report(self, raw, docs, n):
-        traj = parse_trajectory(raw)
-        policy = ValidationPolicy(copy_ngram=n)
-        assert validate(traj, DocIndex(docs, n), policy) == validate(traj, docs, policy)
+        validate(traj, DocIndex(["some doc text"]))
 
 
-def copy_source(form, docs, policy=ValidationPolicy()):
-    """The documents as validate takes them: the plain list or a prebuilt index."""
-    return docs if form == "list" else DocIndex(docs, policy.copy_ngram)
+NO_DOCS = DocIndex([])
+
+
+def validate_against(form, raw, docs):
+    """Validate raw against the index of docs, in one of two forms.
+
+    "list": an index built from the plain document list for this one call.
+    "index": one prebuilt index used for two validations, as a rollout uses
+    one per query for both passes of a sample; the second report must equal
+    the first.
+    """
+    traj = parse_trajectory(raw)
+    if form == "list":
+        return validate(traj, DocIndex(list(docs)))
+    index = DocIndex(tuple(docs))
+    first = validate(traj, index)
+    assert validate(traj, index) == first
+    return first
 
 
 class TestValidate:
     def test_golden_trace_is_clean(self, golden_trace, golden_docs):
-        report = validate(parse_trajectory(golden_trace), golden_docs)
+        report = validate(parse_trajectory(golden_trace), DocIndex(golden_docs))
         assert report.is_clean
 
     def test_placeholder_format_body(self):
         raw = "<format: table>Your reformatted information</format: table><answer>x</answer>"
-        report = validate(parse_trajectory(raw), [])
+        report = validate(parse_trajectory(raw), NO_DOCS)
         assert Rule.PLACEHOLDER_FORMAT in report.rules()
 
     def test_placeholder_format_name(self):
         raw = "<format: format_name>real content</format: format_name><answer>x</answer>"
-        report = validate(parse_trajectory(raw), [])
+        report = validate(parse_trajectory(raw), NO_DOCS)
         assert Rule.PLACEHOLDER_FORMAT in report.rules()
 
     def test_placeholder_answer(self):
-        report = validate(parse_trajectory("<answer> and </answer>"), [])
+        report = validate(parse_trajectory("<answer> and </answer>"), NO_DOCS)
         assert Rule.PLACEHOLDER_ANSWER in report.rules()
 
     def test_empty_answer_is_placeholder(self):
-        report = validate(parse_trajectory("<answer>  </answer>"), [])
+        report = validate(parse_trajectory("<answer>  </answer>"), NO_DOCS)
         assert Rule.PLACEHOLDER_ANSWER in report.rules()
 
     def test_no_answer(self):
-        report = validate(parse_trajectory("<think>only thought</think>"), [])
+        report = validate(parse_trajectory("<think>only thought</think>"), NO_DOCS)
         assert Rule.NO_ANSWER in report.rules()
 
     def test_empty_format_body(self):
         raw = "<format: table>  </format: table><answer>x</answer>"
-        report = validate(parse_trajectory(raw), [])
+        report = validate(parse_trajectory(raw), NO_DOCS)
         assert Rule.EMPTY_FORMAT_BODY in report.rules()
 
     def test_unclosed_tag_reported(self):
-        report = validate(parse_trajectory("<think>never closed"), [])
+        report = validate(parse_trajectory("<think>never closed"), NO_DOCS)
         assert Rule.UNCLOSED_TAG in report.rules()
         assert Rule.NO_ANSWER in report.rules()
 
     def test_mismatched_format_name_reported(self):
         raw = "<format: table>x</format: graph><answer>y</answer>"
-        report = validate(parse_trajectory(raw), [])
+        report = validate(parse_trajectory(raw), NO_DOCS)
         assert Rule.MISMATCHED_FORMAT_NAME in report.rules()
 
     @pytest.mark.parametrize("form", ["list", "index"])
     def test_copied_content_fires_on_verbatim_run(self, form):
         doc = " ".join(f"w{i}" for i in range(40))
         raw = f"<format: Chunk>{doc}</format: Chunk><answer>x</answer>"
-        policy = ValidationPolicy(copy_ngram=30)
-        report = validate(parse_trajectory(raw), copy_source(form, [doc], policy), policy)
+        report = validate_against(form, raw, [doc])
         assert Rule.COPIED_CONTENT in report.rules()
 
     @pytest.mark.parametrize("form", ["list", "index"])
@@ -210,15 +212,14 @@ class TestValidate:
         doc = " ".join(f"w{i}" for i in range(40))
         body = " ".join(f"w{i}" for i in range(20))
         raw = f"<format: Chunk>{body}</format: Chunk><answer>x</answer>"
-        policy = ValidationPolicy(copy_ngram=30)
-        report = validate(parse_trajectory(raw), copy_source(form, [doc], policy), policy)
+        report = validate_against(form, raw, [doc])
         assert Rule.COPIED_CONTENT not in report.rules()
 
     @pytest.mark.parametrize("form", ["list", "index"])
     def test_copied_content_only_checks_format_blocks(self, form):
         doc = " ".join(f"w{i}" for i in range(40))
         raw = f"<think>{doc}</think><answer>x</answer>"
-        report = validate(parse_trajectory(raw), copy_source(form, [doc]))
+        report = validate_against(form, raw, [doc])
         assert Rule.COPIED_CONTENT not in report.rules()
 
     def test_each_trajectory_is_scanned_once(self, monkeypatch):
@@ -231,43 +232,29 @@ class TestValidate:
 
         monkeypatch.setattr(trajectory, "_scan", counting_scan)
         raw = "<think>never closed<format: t>x</format: u><answer>y</answer>"
-        report = validate(parse_trajectory(raw), [])
+        report = validate(parse_trajectory(raw), NO_DOCS)
         assert scanned == [raw]
         assert {Rule.UNCLOSED_TAG, Rule.MISMATCHED_FORMAT_NAME} <= report.rules()
 
-    def test_index_for_another_ngram_length_is_rejected(self):
-        with pytest.raises(ValueError):
-            validate(parse_trajectory(""), DocIndex(["doc"], 5), ValidationPolicy(copy_ngram=30))
-
     def test_is_clean_iff_no_violations(self, golden_trace, golden_docs):
-        clean = validate(parse_trajectory(golden_trace), golden_docs)
-        dirty = validate(parse_trajectory(""), [])
+        clean = validate(parse_trajectory(golden_trace), DocIndex(golden_docs))
+        dirty = validate(parse_trajectory(""), NO_DOCS)
         assert clean.is_clean and not clean.violations
         assert not dirty.is_clean and dirty.violations
 
     def test_violation_serialization_rule_ids(self):
-        report = validate(parse_trajectory(""), [])
+        report = validate(parse_trajectory(""), NO_DOCS)
         d = report.to_dict()
         assert d["violations"][0]["rule_id"] == "NoAnswer"
 
 
 class TestCopyDetection:
     def test_threshold_boundary(self):
-        doc = " ".join(f"w{i}" for i in range(30))
-        assert contains_copied_ngram(doc, [doc], 30)
-        assert not contains_copied_ngram(doc[: doc.rindex(" ")], [doc], 30)
+        doc = " ".join(f"w{i}" for i in range(trajectory.COPY_NGRAM))
+        assert DocIndex([doc]).copied_in(doc)
+        assert not DocIndex([doc]).copied_in(doc[: doc.rindex(" ")])
 
     def test_normalization_defeats_cosmetic_edits(self):
         doc = " ".join(f"w{i}" for i in range(35))
         edited = doc.upper().replace(" ", ",  ")
-        assert contains_copied_ngram(edited, [doc], 30)
-
-    @given(st.integers(1, 12))
-    @settings(max_examples=25)
-    def test_monotone_in_ngram_length(self, n_doc):
-        doc = " ".join(f"tok{i}" for i in range(40))
-        probe = " ".join(f"tok{i}" for i in range(n_doc + 5))
-        lengths = [n for n in range(1, 40) if contains_copied_ngram(probe, [doc], n)]
-        if lengths:
-            longest = max(lengths)
-            assert lengths == list(range(1, longest + 1))
+        assert DocIndex([doc]).copied_in(edited)
