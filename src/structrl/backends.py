@@ -8,16 +8,18 @@ plain completions-style JSON contract.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
+import ssl
 import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
+from urllib.parse import urlsplit
 
 import numpy as np
-import requests
 
 from .errors import BackendError
 from .grpo import TokenLogProbs
@@ -103,6 +105,20 @@ class MockBackend:
 
 ENDPOINT_ENV = "STRUCTRL_ENDPOINT"
 TOKEN_ENV = "STRUCTRL_API_TOKEN"
+# how a reused socket fails before any response when the server closed it
+# while it sat idle between calls
+_STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+
+
+class _Kept:
+    """One thread's connection, closed when freed: when its thread ends or
+    its backend is released."""
+
+    def __init__(self, conn: http.client.HTTPConnection) -> None:
+        self.conn = conn
+
+    def __del__(self) -> None:
+        self.conn.close()
 
 
 class HTTPBackend:
@@ -114,10 +130,14 @@ class HTTPBackend:
     log-prob vector; it stands in for all three policy roles, which makes
     ratios 1 and KL 0 until a trainer supplies real per-policy scores.
 
-    Each thread posts through its own ``requests.Session``, since sessions
-    are not documented as thread-safe. A 4xx response other than 429 raises
-    a BackendError that is not retryable. A 200 response without a string
-    text, or with a log-prob that is not a finite number, raises one that is.
+    Each thread keeps one kept-alive ``http.client`` connection. When the
+    server has closed a reused connection before answering, the request is
+    sent once more on a fresh one. Proxy variables, netrc and credentials in
+    the URL are not used, and redirects are not followed. An endpoint that is
+    not an http(s) URL is rejected here. A 4xx response other than 429
+    raises a BackendError that is not retryable, and so does a 200 response
+    with an unexpected shape, a non-string text or a log-prob that is not a
+    finite number.
     """
 
     def __init__(
@@ -129,16 +149,36 @@ class HTTPBackend:
         endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
         if not endpoint:
             raise BackendError(f"no endpoint given and {ENDPOINT_ENV} is unset")
+        url = urlsplit(endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise BackendError(f"endpoint {endpoint!r} is not an http:// or https:// URL")
         self.endpoint = endpoint
         self.model = model
         self.timeout = timeout
+        https = url.scheme == "https"
+        # an explicit port, since http.client would read the last group of a
+        # bare IPv6 address as one
+        self._host, self._port = url.hostname, url.port or (443 if https else 80)
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        # one context for every thread's connection; building one loads the CA store
+        self._ssl = ssl.create_default_context() if https else None
         self._local = threading.local()
 
-    @property
-    def session(self) -> requests.Session:
-        if not hasattr(self._local, "session"):
-            self._local.session = requests.Session()
-        return self._local.session
+    def _connect(self) -> http.client.HTTPConnection:
+        if self._ssl is None:
+            conn = http.client.HTTPConnection(self._host, self._port, timeout=self.timeout)
+        else:
+            conn = http.client.HTTPSConnection(
+                self._host, self._port, timeout=self.timeout, context=self._ssl
+            )
+        self._local.kept = _Kept(conn)
+        return conn
+
+    def _drop(self) -> None:
+        kept = getattr(self._local, "kept", None)
+        if kept is not None:
+            kept.conn.close()
+            self._local.kept = None
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -146,6 +186,31 @@ class HTTPBackend:
         if token:
             headers["Authorization"] = f"Bearer {token}"
         return headers
+
+    def _send(self, conn: http.client.HTTPConnection, data: bytes) -> http.client.HTTPResponse:
+        conn.request("POST", self._target, data, self._headers())
+        return conn.getresponse()
+
+    def _post(self, data: bytes) -> tuple[http.client.HTTPResponse, bytes]:
+        """POST ``data`` through this thread's connection; return the response and body."""
+        kept = getattr(self._local, "kept", None)
+        try:
+            if kept is None:
+                resp = self._send(self._connect(), data)
+            else:
+                try:
+                    resp = self._send(kept.conn, data)
+                except _STALE:
+                    # the server closed the kept-alive socket before answering
+                    kept.conn.close()
+                    resp = self._send(self._connect(), data)
+            body = resp.read()
+        except BaseException:
+            self._drop()
+            raise
+        if resp.will_close:
+            self._drop()
+        return resp, body
 
     def generate(self, prompt: str, sampling: SamplingParams) -> Generation:
         body = {
@@ -158,21 +223,19 @@ class HTTPBackend:
             "seed": sampling.seed,
         }
         try:
-            resp = self.session.post(
-                self.endpoint, json=body, headers=self._headers(), timeout=self.timeout
-            )
-            resp.raise_for_status()
-        except requests.RequestException as exc:
-            status = getattr(exc.response, "status_code", None)
-            client_error = status is not None and 400 <= status < 500 and status != 429
+            # bytes, so http.client sends the headers and the body in one write
+            resp, raw = self._post(json.dumps(body).encode("utf-8"))
+        except (OSError, http.client.HTTPException) as exc:
+            raise BackendError(f"generation request failed: {exc}") from exc
+        if 400 <= resp.status < 600:
+            kind = "Client" if resp.status < 500 else "Server"
             raise BackendError(
-                f"generation request failed: {exc}", retryable=not client_error
-            ) from exc
-        # decoded apart from the request: requests' JSONDecodeError is also a
-        # RequestException, so the handler above would report it as a failure
-        # of the request itself
+                f"generation request failed: {resp.status} {kind} Error: "
+                f"{resp.reason} for url: {self.endpoint}",
+                retryable=resp.status >= 500 or resp.status == 429,
+            )
         try:
-            payload = resp.json()
+            payload = json.loads(raw)
         except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise BackendError(f"non-JSON response from {self.endpoint}") from exc
         try:
@@ -181,7 +244,9 @@ class HTTPBackend:
             text = choice["text"] if field == "text" else choice["message"]["content"]
             token_lps = (choice.get("logprobs") or {}).get("token_logprobs") or []
         except (KeyError, IndexError, TypeError, AttributeError) as exc:
-            raise BackendError(f"unexpected response shape: {payload!r:.200}") from exc
+            raise BackendError(
+                f"unexpected response shape: {payload!r:.200}", retryable=False
+            ) from exc
         if not isinstance(text, str):
             raise self._malformed(field, text, "a string")
         if not isinstance(token_lps, list):
@@ -194,8 +259,10 @@ class HTTPBackend:
         return Generation(text, TokenLogProbs(vec, vec, vec) if vec else None)
 
     def _malformed(self, field: str, value: object, expected: str) -> BackendError:
+        # the same request gets the same payload back, so retrying cannot help
         return BackendError(
-            f"malformed response from {self.endpoint}: {field} is {value!r:.80}, not {expected}"
+            f"malformed response from {self.endpoint}: {field} is {value!r:.80}, not {expected}",
+            retryable=False,
         )
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -185,6 +186,8 @@ class TestHTTPBackend:
         with pytest.raises(BackendError) as info:
             HTTPBackend(endpoint=http_server).generate("p", SamplingParams())
         assert message in str(info.value)
+        # the same request gets the same payload back
+        assert not info.value.retryable
 
     @given(json_values | payloads)
     @settings(
@@ -215,6 +218,24 @@ class TestHTTPBackend:
         monkeypatch.delenv("STRUCTRL_ENDPOINT", raising=False)
         with pytest.raises(BackendError):
             HTTPBackend()
+
+    @pytest.mark.parametrize("scheme", ["http", "https"])
+    def test_refused_connection_is_retryable(self, scheme):
+        with socket.socket() as sock:  # a port that nothing listens on once closed
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        with pytest.raises(BackendError, match="generation request failed") as info:
+            HTTPBackend(endpoint=f"{scheme}://127.0.0.1:{port}/v1").generate("p", SamplingParams())
+        assert info.value.retryable
+
+    @pytest.mark.parametrize(
+        "endpoint",
+        ["localhost:8000/v1/completions", "ftp://host/v1", "http:///v1/completions"],
+        ids=["no_scheme", "ftp", "no_host"],
+    )
+    def test_endpoint_that_is_not_an_http_url_rejected(self, endpoint):
+        with pytest.raises(BackendError, match="is not an http:// or https:// URL"):
+            HTTPBackend(endpoint=endpoint)
 
 
 class TestFactory:

@@ -4,7 +4,11 @@ Every command is invoked in-process through main() so exit codes and
 stdout/stderr are observable without subprocesses.
 """
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -208,6 +212,20 @@ class TestRolloutCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_endpoint_that_is_not_an_http_url_exits_nonzero(
+        self, tmp_path, capsys, golden_trace, golden_docs, golden_golds
+    ):
+        dataset, _ = write_fixtures(tmp_path, golden_trace, golden_docs, golden_golds)
+        out_dir = tmp_path / "out"
+        code = main(
+            ["rollout", "--backend", "http", "--endpoint", "localhost:8000/v1/completions",
+             "--dataset", str(dataset), "--out", str(out_dir)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: endpoint 'localhost:8000/v1/completions' is not an http:// or https:// URL\n"
+        )
+        assert not (out_dir / "rollouts.jsonl").exists()
 
     @pytest.mark.parametrize("field", ["docs", "golden_answers"])
     def test_empty_field_fails_at_load_with_line(
@@ -572,3 +590,19 @@ class TestConvertAndSample:
                      "--seed", "0", "--out", str(tmp_path / "s.jsonl")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_requests_unloaded():
+    """The HTTP backend uses only the standard library; requests and urllib3
+    would add their import time to every start-up."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, structrl.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert run.stdout == "[]\n"

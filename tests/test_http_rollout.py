@@ -3,8 +3,9 @@
 The server answers through a ``MockBackend`` after a short delay, fails the
 first attempt of some requests with a 503, and answers a prompt that no rule
 matches with a 404. It can instead answer every request with one fixed
-status and body. It counts requests in flight, and requests that arrive
-while another with the same prompt is still in flight.
+status and body. It counts requests in flight, requests that arrive while
+another with the same prompt is still in flight, and requests per client
+connection.
 """
 import hashlib
 import json
@@ -14,7 +15,6 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 
 from structrl.backends import HTTPBackend, MockBackend, SamplingParams, prompt_digest
 from structrl.cli import main
@@ -42,11 +42,14 @@ class Stub:
         self.overlapping = 0
         self.seen: set[str] = set()
         self.injected = 0
+        self.per_connection: dict[tuple[str, int], int] = {}  # by client address
+        self.close_after_response = False  # without saying so in a header
 
-    def arrive(self, prompt: str, key: str) -> bool:
+    def arrive(self, prompt: str, key: str, client: tuple[str, int]) -> bool:
         """Record an arrival; True when it is the first attempt of a flaky key."""
         with self.lock:
             self.requests += 1
+            self.per_connection[client] = self.per_connection.get(client, 0) + 1
             self.in_flight += 1
             self.max_in_flight = max(self.max_in_flight, self.in_flight)
             self.overlapping += self.prompt_in_flight.get(prompt, 0) > 0
@@ -61,9 +64,9 @@ class Stub:
             self.in_flight -= 1
             self.prompt_in_flight[prompt] -= 1
 
-    def respond(self, body: dict) -> tuple[int, dict | bytes]:
+    def respond(self, body: dict, client: tuple[str, int]) -> tuple[int, dict | bytes]:
         prompt, seed = body["prompt"], int(body["seed"])
-        flaky = self.arrive(prompt, prompt_digest(prompt, seed))
+        flaky = self.arrive(prompt, prompt_digest(prompt, seed), client)
         try:
             time.sleep(DELAY_S)
             if self.status is not None:
@@ -85,13 +88,15 @@ class Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        status, payload = self.stub.respond(body)
+        status, payload = self.stub.respond(body, self.client_address)
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
+        if self.stub.close_after_response:
+            self.close_connection = True
 
     def log_message(self, *args):
         pass
@@ -137,8 +142,12 @@ def serve(tmp_path):
     """Start a loopback server; returns (endpoint, stub)."""
     servers = []
 
-    def start(status: int | None = None, body: bytes = b'{"error": "fixed"}') -> tuple[str, Stub]:
-        handler = type("BoundHandler", (Handler,), {})
+    def start(
+        status: int | None = None, body: bytes = b'{"error": "fixed"}', keep_alive: bool = False
+    ) -> tuple[str, Stub]:
+        # HTTP/1.0 closes the connection after each response; HTTP/1.1 keeps it open
+        protocol = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+        handler = type("BoundHandler", (Handler,), {"protocol_version": protocol})
         handler.stub = Stub(MockBackend(write_fixtures(tmp_path)), status, body)
         server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         server.daemon_threads = True
@@ -226,32 +235,29 @@ def test_malformed_payload_fails_the_sample_not_the_run(serve):
     # a null first log-prob, as servers that echo the prompt send it
     endpoint, stub = serve(200, b'{"choices": [{"text": "<answer> Rome </answer>", '
                                 b'"logprobs": {"token_logprobs": [null, -0.5]}}]}')
-    group = rollout_one(queries()[0], K, 0.2, HTTPBackend(endpoint=endpoint), RolloutConfig(retries=0))
+    group = rollout_one(queries()[0], K, 0.2, HTTPBackend(endpoint=endpoint), RolloutConfig(retries=2))
     assert len(group.pairs) == K
     for pair in group.pairs:
         assert pair.failed
         assert "token_logprobs[0] is None, not a finite number" in pair.failure
+    # the same request gets the same payload, so none was retried
     assert stub.requests == K
 
 
-def test_each_thread_posts_through_its_own_session(serve, monkeypatch):
-    endpoint, _ = serve()
-    used: list[tuple[int, requests.Session]] = []
-    original = requests.Session.post
-
-    def recording_post(self, *args, **kwargs):
-        used.append((threading.get_ident(), self))
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(requests.Session, "post", recording_post)
+def test_each_thread_posts_through_its_own_connection(serve):
+    endpoint, stub = serve(keep_alive=True)
     backend = HTTPBackend(endpoint=endpoint)
     prompt = build_main_prompt("question 0?", ["alpha0 doc"])
-    barrier = threading.Barrier(3)
+    start, done = threading.Barrier(3), threading.Barrier(3)
+    texts: list[str] = []
 
     def work():
-        barrier.wait(timeout=10)
+        start.wait(timeout=10)
         for _ in range(2):
-            backend.generate(prompt, SamplingParams(seed=1))
+            texts.append(backend.generate(prompt, SamplingParams(seed=1)).text)
+        # hold every connection open until all calls are made, so no client
+        # port is freed and reused by another thread
+        done.wait(timeout=10)
 
     threads = [threading.Thread(target=work) for _ in range(3)]
     for t in threads:
@@ -259,7 +265,16 @@ def test_each_thread_posts_through_its_own_session(serve, monkeypatch):
     for t in threads:
         t.join(timeout=30)
         assert not t.is_alive()
-    sessions = {ident: {id(s) for i, s in used if i == ident} for ident, _ in used}
-    assert len(used) == 6
-    assert all(len(ids) == 1 for ids in sessions.values())
-    assert len({next(iter(ids)) for ids in sessions.values()}) == 3
+    assert texts == ["<answer> Rome </answer>"] * 6
+    assert sorted(stub.per_connection.values()) == [2, 2, 2]
+
+
+def test_connection_the_server_closed_is_replaced_once(serve):
+    endpoint, stub = serve(keep_alive=True)
+    stub.close_after_response = True
+    backend = HTTPBackend(endpoint=endpoint)
+    prompt = build_main_prompt("question 0?", ["alpha0 doc"])
+    for calls in (1, 2):
+        assert backend.generate(prompt, SamplingParams(seed=1)).text == "<answer> Rome </answer>"
+        assert stub.requests == calls
+    assert sorted(stub.per_connection.values()) == [1, 1]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structrl import rollout
-from structrl.backends import MockBackend, SamplingParams
+from structrl.backends import MockBackend
 from structrl.dataset import QueryInstance
 from structrl.errors import BackendError
 from structrl.grpo import RewardGroup, group_advantages
