@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Run the two-stage rollout pipeline end to end on a canned mock backend.
 
-Builds a three-query demo dataset covering the interesting reward cases
-(structure + self-contained, no structure, structure that fails re-inference),
-rolls out K samples per query, writes the JSONL artifacts, and prints the
-reward sweep over several lambda values through `structrl sweep-lambda`.
+Writes a three-query demo dataset covering the interesting reward cases
+(structure + self-contained, no structure, structure that fails re-inference)
+and the mock rules that answer it, runs `structrl rollout` over it, prints
+the first sample of each group from the written `rollouts.jsonl`, and prints
+the reward sweep over several lambda values through `structrl sweep-lambda`.
 Everything is deterministic, so two invocations with the same flags produce
 byte-identical outputs.
 """
@@ -14,9 +15,6 @@ import sys
 from pathlib import Path
 
 from structrl import cli
-from structrl.backends import MockBackend
-from structrl.reward import LambdaSchedule
-from structrl.rollout import QueryInstance, RolloutConfig, run_rollouts, write_rollout_jsonl
 
 STRUCTURED_TRACE = """<think>
 Two birth dates are buried in prose; a table makes the comparison trivial.
@@ -47,33 +45,33 @@ LEAKY_REINF = "<think>No dates here, guessing.</think>\n<answer> Ada Brook </ans
 PLAIN_TRACE = "<think>The capital is stated verbatim.</think>\n<answer> Oslo </answer>"
 
 
-def build_demo(workdir: Path):
+def build_demo(workdir: Path) -> tuple[Path, Path]:
     """Write the demo dataset and the mock rules that answer it."""
     queries = [
-        QueryInstance(
-            id="structured",
-            question="Who was born later, Ada Brook or Noa Field?",
-            docs=(
+        {
+            "id": "structured",
+            "question": "Who was born later, Ada Brook or Noa Field?",
+            "docs": [
                 "Ada Brook\nAda Brook was a director born on 1897-07-15.",
                 "Noa Field\nNoa Field was a director born on 1947-02-18.",
-            ),
-            golds=("Noa Field",),
-        ),
-        QueryInstance(
-            id="plain",
-            question="What is the capital of Norway?",
-            docs=("Norway\nThe capital of Norway is Oslo.",),
-            golds=("Oslo",),
-        ),
-        QueryInstance(
-            id="leaky",
-            question="Who was born later, Ada Brook or Noa Field?",
-            docs=(
+            ],
+            "golden_answers": ["Noa Field"],
+        },
+        {
+            "id": "plain",
+            "question": "What is the capital of Norway?",
+            "docs": ["Norway\nThe capital of Norway is Oslo."],
+            "golden_answers": ["Oslo"],
+        },
+        {
+            "id": "leaky",
+            "question": "Who was born later, Ada Brook or Noa Field?",
+            "docs": [
                 "Ada Brook dates\nAda Brook: born 1897.",
                 "Noa Field dates\nNoa Field: born 1947.",
-            ),
-            golds=("Noa Field",),
-        ),
+            ],
+            "golden_answers": ["Noa Field"],
+        },
     ]
     rules = [
         {"contains": "Doc 1: Ada Brook\n", "response": STRUCTURED_TRACE},
@@ -85,42 +83,43 @@ def build_demo(workdir: Path):
     fixtures = workdir / "fixtures"
     fixtures.mkdir(parents=True, exist_ok=True)
     (fixtures / "rules.json").write_text(json.dumps(rules, indent=2), "utf-8")
-    return queries, fixtures
+    dataset = workdir / "dataset.jsonl"
+    dataset.write_text("".join(json.dumps(q) + "\n" for q in queries), "utf-8")
+    return dataset, fixtures
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", default="runs/mock_demo")
-    parser.add_argument("--k", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--lambda", dest="lambda_", type=float, default=0.2)
+    parser.add_argument("--k", default="4")
+    parser.add_argument("--seed", default="0")
+    parser.add_argument("--lambda", dest="lambda_", default="0.2")
     args = parser.parse_args(argv)
 
     workdir = Path(args.workdir)
-    queries, fixtures = build_demo(workdir)
-    backend = MockBackend(fixtures)
-    config = RolloutConfig(
-        k=args.k,
-        lambda_schedule=LambdaSchedule.constant(args.lambda_),
-        base_seed=args.seed,
+    dataset, fixtures = build_demo(workdir)
+    code = cli.main(
+        ["rollout", "--dataset", str(dataset), "--fixtures", str(fixtures),
+         "--k", args.k, "--seed", args.seed, "--lambda", args.lambda_,
+         "--out", str(workdir)]
     )
+    if code:
+        return code
 
-    groups = list(run_rollouts(queries, config, backend))
-    rollouts_path = workdir / "rollouts.jsonl"
-    write_rollout_jsonl(rollouts_path, groups)
-
-    print(f"wrote {rollouts_path} ({sum(len(g.pairs) for g in groups)} samples)")
-    for group in groups:
-        pair = group.pairs[0]
-        b = pair.breakdown
+    rollouts = workdir / "rollouts.jsonl"
+    for line in rollouts.read_text("utf-8").splitlines():
+        group = json.loads(line)
+        pair = group["pairs"][0]
+        b = pair["breakdown"]
+        formats = sum(1 for block in pair["primary"]["blocks"] if block["kind"] == "format")
         print(
-            f"  {group.query.id:>10}: direct={b.direct:.1f} reinf={b.reinf:.1f} "
-            f"total={b.total:.2f} formats={len(pair.primary.format_blocks())} "
-            f"clean={pair.primary_validation.is_clean}"
+            f"  {group['query']['id']:>10}: direct={b['direct']:.1f} reinf={b['reinf']:.1f} "
+            f"total={b['total']:.2f} formats={formats} "
+            f"clean={pair['primary_validation']['is_clean']}"
         )
 
     print("\nlambda sweep (mean over all samples):")
-    return cli.main(["sweep-lambda", "--rollouts", str(rollouts_path), "--values", "0,0.1,0.2,0.3"])
+    return cli.main(["sweep-lambda", "--rollouts", str(rollouts), "--values", "0,0.1,0.2,0.3"])
 
 
 if __name__ == "__main__":

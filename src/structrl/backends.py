@@ -105,6 +105,8 @@ class MockBackend:
 
 ENDPOINT_ENV = "STRUCTRL_ENDPOINT"
 TOKEN_ENV = "STRUCTRL_API_TOKEN"
+# seconds to connect, and to wait on each read of a response
+TIMEOUT_S = 120.0
 # how a reused socket fails before any response when the server closed it
 # while it sat idle between calls
 _STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
@@ -144,7 +146,6 @@ class HTTPBackend:
         self,
         endpoint: str | None = None,
         model: str = "default",
-        timeout: float = 120.0,
     ) -> None:
         endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
         if not endpoint:
@@ -154,7 +155,6 @@ class HTTPBackend:
             raise BackendError(f"endpoint {endpoint!r} is not an http:// or https:// URL")
         self.endpoint = endpoint
         self.model = model
-        self.timeout = timeout
         https = url.scheme == "https"
         # an explicit port, since http.client would read the last group of a
         # bare IPv6 address as one
@@ -166,10 +166,10 @@ class HTTPBackend:
 
     def _connect(self) -> http.client.HTTPConnection:
         if self._ssl is None:
-            conn = http.client.HTTPConnection(self._host, self._port, timeout=self.timeout)
+            conn = http.client.HTTPConnection(self._host, self._port, timeout=TIMEOUT_S)
         else:
             conn = http.client.HTTPSConnection(
-                self._host, self._port, timeout=self.timeout, context=self._ssl
+                self._host, self._port, timeout=TIMEOUT_S, context=self._ssl
             )
         self._local.kept = _Kept(conn)
         return conn

@@ -41,7 +41,6 @@ DEFAULTS = {
     "model": "default",
     "k": 8,
     "lambda": 0.2,
-    "lambda_schedule": None,
     "epsilon": 0.2,
     "beta": 0.001,
     "seed": 0,
@@ -49,22 +48,37 @@ DEFAULTS = {
     "temperature": 1.0,
     "max_tokens": 1024,
     "retries": 2,
-    "format": "text",
 }
+# keys a run's resolved_config.json holds beside DEFAULTS; a config file may
+# carry them, so that file can be passed back as --config, but they are not read
+SIDECAR_KEYS = {"command", "config", "dataset", "out"}
 
 STRICT_RULES = {Rule.NO_ANSWER, Rule.PLACEHOLDER_FORMAT, Rule.PLACEHOLDER_ANSWER}
 
 
-def parse_schedule(text: str) -> LambdaSchedule:
-    """Parse 'constant:V' or 'linear:START:END:STEPS'."""
-    parts = text.split(":")
-    if parts[0] == "constant" and len(parts) == 2:
-        return LambdaSchedule.constant(float(parts[1]))
-    if parts[0] == "linear" and len(parts) == 4:
-        return LambdaSchedule.linear(float(parts[1]), float(parts[2]), int(parts[3]))
+def parse_schedule(value: float | str) -> LambdaSchedule:
+    """Parse a number V, 'constant:V' or 'linear:START:END:STEPS'."""
+    parts = str(value).split(":")
+    try:
+        if len(parts) == 1:
+            return LambdaSchedule.constant(float(parts[0]))
+        if parts[0] == "constant" and len(parts) == 2:
+            return LambdaSchedule.constant(float(parts[1]))
+        if parts[0] == "linear" and len(parts) == 4:
+            return LambdaSchedule.linear(float(parts[1]), float(parts[2]), int(parts[3]))
+    except ValueError:
+        pass
     raise ValueError(
-        f"bad schedule {text!r}: want constant:V or linear:START:END:STEPS"
+        f"bad lambda {value!r}: want V, constant:V or linear:START:END:STEPS"
     )
+
+
+def _lambda_arg(text: str) -> float | str:
+    """``--lambda``: a bare number stays a number, anything else is a schedule."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -72,7 +86,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
     resolved = dict(DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
-        resolved.update(json.loads(Path(config_path).read_text("utf-8")))
+        loaded = json.loads(Path(config_path).read_text("utf-8"))
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{config_path}: config must be a JSON object")
+        for key in loaded:
+            if key not in DEFAULTS and key not in SIDECAR_KEYS:
+                raise ValueError(f"{config_path}: unknown config key {key!r}")
+        resolved.update((k, v) for k, v in loaded.items() if k in DEFAULTS)
     if os.environ.get(ENDPOINT_ENV):
         resolved["endpoint"] = os.environ[ENDPOINT_ENV]
     for key in DEFAULTS:
@@ -85,12 +105,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if value is not None:
             resolved[key] = value
     return resolved
-
-
-def _schedule_from(resolved: dict) -> LambdaSchedule:
-    if resolved.get("lambda_schedule"):
-        return parse_schedule(resolved["lambda_schedule"])
-    return LambdaSchedule.constant(float(resolved["lambda"]))
 
 
 def _write_sidecar(out_dir: Path, command: str, resolved: dict) -> None:
@@ -147,21 +161,21 @@ def _export_signals(
 
 def cmd_rollout(args: argparse.Namespace) -> int:
     resolved = resolve_config(args)
+    config = RolloutConfig(
+        k=int(resolved["k"]),
+        lambda_schedule=parse_schedule(resolved["lambda"]),
+        base_seed=int(resolved["seed"]),
+        parallelism=int(resolved["parallel"]),
+        temperature=float(resolved["temperature"]),
+        max_tokens=int(resolved["max_tokens"]),
+        retries=int(resolved["retries"]),
+    )
     queries = ds.load_jsonl(resolved["dataset"])
     backend = make_backend(
         resolved["backend"],
         fixtures=resolved["fixtures"],
         endpoint=resolved["endpoint"],
         model=resolved["model"],
-    )
-    config = RolloutConfig(
-        k=int(resolved["k"]),
-        lambda_schedule=_schedule_from(resolved),
-        base_seed=int(resolved["seed"]),
-        parallelism=int(resolved["parallel"]),
-        temperature=float(resolved["temperature"]),
-        max_tokens=int(resolved["max_tokens"]),
-        retries=int(resolved["retries"]),
     )
     out_dir = Path(resolved["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -362,8 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixtures", default=None)
     p.add_argument("--model", default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--lambda", dest="lambda_", type=float, default=None)
-    p.add_argument("--lambda-schedule", default=None)
+    p.add_argument(
+        "--lambda", dest="lambda_", type=_lambda_arg, default=None,
+        metavar="V|constant:V|linear:START:END:STEPS",
+    )
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)

@@ -23,10 +23,6 @@ class EmptyGolds(StructRLError):
     """Metric requested with no gold answers."""
 
 
-class InconsistentInput(StructRLError):
-    """Presence of a re-inferred trajectory contradicts the had_formats flag."""
-
-
 class NegativeLambda(StructRLError):
     """Reward mixing weight must be non-negative."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ._textnorm import normalize_text, norm_tokens
-from .errors import EmptyGolds, InconsistentInput, NegativeLambda, ZeroSteps
+from .errors import EmptyGolds, NegativeLambda, ZeroSteps
 from .trajectory import Trajectory
 
 
@@ -51,17 +51,13 @@ def direct_reward(traj: Trajectory, golds: list[str]) -> float:
     return exact_match(traj.answer, golds)
 
 
-def reinference_reward(
-    reinf_traj: Trajectory | None, had_formats: bool, golds: list[str]
-) -> float:
-    """Exact match of the structure-only answer; 0 by rule without formats."""
-    if (reinf_traj is not None) != had_formats:
-        raise InconsistentInput(
-            "re-inferred trajectory must be present exactly when formats existed"
-        )
-    if not had_formats:
-        return 0.0
-    if reinf_traj.answer is None:
+def reinference_reward(reinf_traj: Trajectory | None, golds: list[str]) -> float:
+    """Exact match of the structure-only answer.
+
+    ``reinf_traj`` is None when the primary pass emitted no formats, so there
+    was nothing to re-infer from; that scores 0 by rule.
+    """
+    if reinf_traj is None or reinf_traj.answer is None:
         return 0.0
     return exact_match(reinf_traj.answer, golds)
 

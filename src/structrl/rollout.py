@@ -21,7 +21,7 @@ import hashlib
 import json
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from itertools import count, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -47,19 +47,6 @@ from .trajectory import (
     validate,
 )
 
-__all__ = [
-    "QueryInstance",
-    "RolloutConfig",
-    "TrajectoryPair",
-    "RolloutGroup",
-    "derive_seed",
-    "rollout_one",
-    "run_rollouts",
-    "write_rollout_jsonl",
-    "read_rollout_jsonl",
-]
-
-
 def derive_seed(query_id: str, sample_index: int, base_seed: int) -> int:
     """Stable per-sample seed from (query id, sample index, base seed)."""
     h = hashlib.sha256(f"{query_id}:{sample_index}:{base_seed}".encode("utf-8"))
@@ -75,6 +62,12 @@ class RolloutConfig:
     temperature: float = 1.0
     max_tokens: int = 1024
     retries: int = 2
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if self.retries < 0:
+            raise ValueError("retries must be >= 0")
 
     def to_dict(self) -> dict:
         return {
@@ -201,8 +194,7 @@ def _rollout_sample(
 
     reinferred = None
     reinferred_report = None
-    had_formats = primary.has_formats()
-    if had_formats:
+    if primary.has_formats():
         reinf_prompt = build_reinference_prompt(query.question, extract_formats(primary))
         try:
             reinf_gen = _generate_with_retries(
@@ -214,7 +206,7 @@ def _rollout_sample(
         reinferred_report = validate(reinferred, doc_index)
 
     direct = direct_reward(primary, list(query.golds))
-    reinf = reinference_reward(reinferred, had_formats, list(query.golds))
+    reinf = reinference_reward(reinferred, list(query.golds))
     return TrajectoryPair(
         primary=primary,
         reinferred=reinferred,
@@ -228,20 +220,18 @@ def _rollout_sample(
 
 def rollout_one(
     query: QueryInstance,
-    k: int,
-    lambda_: float,
+    step: int,
     backend: GenerationBackend,
     config: RolloutConfig = RolloutConfig(),
-    step: int = 0,
     pool: Executor | None = None,
 ) -> RolloutGroup:
-    """One group: K sampled pairs for a query plus centered advantages.
+    """One group: ``config.k`` sampled pairs for a query plus centered advantages.
 
-    The K samples run on ``pool`` when one is given, else one after another
-    in the caller's thread; pairs keep sample order either way.
+    ``step`` picks the weight from ``config.lambda_schedule``. The K samples
+    run on ``pool`` when one is given, else one after another in the
+    caller's thread; pairs keep sample order either way.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    lambda_ = lambda_at(config.lambda_schedule, step)
     doc_index = DocIndex(query.docs)
     # the K primary prompts are byte-identical
     prompt = build_main_prompt(query.question, list(query.docs))
@@ -249,7 +239,7 @@ def rollout_one(
     def sample(i: int) -> TrajectoryPair:
         return _rollout_sample(query, i, prompt, lambda_, backend, config, doc_index)
 
-    pairs = tuple((map if pool is None else pool.map)(sample, range(k)))
+    pairs = tuple((map if pool is None else pool.map)(sample, range(config.k)))
     advantages = group_advantages(RewardGroup(tuple(p.breakdown.total for p in pairs)))
     return RolloutGroup(query, pairs, advantages, lambda_, step)
 
@@ -266,22 +256,17 @@ def run_rollouts(
     one shared pool of N x K threads, so every in-flight sample has a thread.
     At 1 everything runs in the caller's thread.
     """
-    queries = list(dataset)
-
-    def _one(item: tuple[int, QueryInstance], pool: Executor | None = None) -> RolloutGroup:
-        step, query = item
-        lam = lambda_at(config.lambda_schedule, step)
-        return rollout_one(query, config.k, lam, backend, config, step=step, pool=pool)
-
     if config.parallelism <= 1:
-        for item in enumerate(queries):
-            yield _one(item)
+        for step, query in enumerate(dataset):
+            yield rollout_one(query, step, backend, config)
         return
     with (
         ThreadPoolExecutor(max_workers=config.parallelism * config.k) as samples,
         ThreadPoolExecutor(max_workers=config.parallelism) as groups,
     ):
-        yield from groups.map(partial(_one, pool=samples), enumerate(queries))
+        yield from groups.map(
+            rollout_one, dataset, count(), repeat(backend), repeat(config), repeat(samples)
+        )
 
 
 def write_rollout_jsonl(path: str | Path, groups: Iterable[RolloutGroup]) -> int:

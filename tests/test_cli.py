@@ -18,7 +18,7 @@ from structrl.backends import prompt_digest
 from structrl.cli import DEFAULTS, build_parser, main, parse_schedule, resolve_config
 from structrl.prompting import build_main_prompt
 from structrl.reward import ScheduleKind
-from structrl.rollout import derive_seed
+from structrl.rollout import derive_seed, read_rollout_jsonl
 
 QUESTION = (
     "Which film has the director born later, The Girl In Possession "
@@ -92,7 +92,13 @@ class TestParseSchedule:
         assert schedule.end == 0.2
         assert schedule.steps == 100
 
-    @pytest.mark.parametrize("text", ["", "constant", "linear:1:2", "cosine:0:1:5"])
+    @pytest.mark.parametrize("value", [0.3, "0.3"], ids=["number", "string"])
+    def test_bare_number_is_constant(self, value):
+        assert parse_schedule(value) == parse_schedule("constant:0.3")
+
+    @pytest.mark.parametrize(
+        "text", ["", "constant", "constant:x", "linear:1:2", "cosine:0:1:5"]
+    )
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_schedule(text)
@@ -187,6 +193,11 @@ class TestRolloutCommand:
             tmp_path, dataset, fixtures, "out", extra=["--seed", "9"]
         )
         recorded = json.loads((out_dir / "resolved_config.json").read_text("utf-8"))
+        assert list(recorded) == [
+            "command", "backend", "endpoint", "fixtures", "model", "k", "lambda",
+            "epsilon", "beta", "seed", "parallel", "temperature", "max_tokens",
+            "retries", "dataset", "out", "config",
+        ]
         assert recorded["command"] == "rollout"
         assert recorded["seed"] == 9
         assert recorded["k"] == 2
@@ -199,6 +210,90 @@ class TestRolloutCommand:
             "max_tokens": 1024,
             "retries": 2,
         }
+
+    def test_resolved_config_passed_back_reproduces_the_run(
+        self, tmp_path, golden_trace, golden_docs, golden_golds
+    ):
+        dataset, fixtures = write_fixtures(tmp_path, golden_trace, golden_docs, golden_golds)
+        first = run_rollout_cli(
+            tmp_path, dataset, fixtures, "a",
+            extra=["--seed", "9", "--lambda", "0.3", "--parallel", "2"],
+        )
+        second = tmp_path / "b"
+        code = main(
+            ["rollout", "--dataset", str(dataset), "--out", str(second),
+             "--config", str(first / "resolved_config.json")]
+        )
+        assert code == 0
+        assert (first / "rollouts.jsonl").read_bytes() == (second / "rollouts.jsonl").read_bytes()
+
+    def test_lambda_flag_beats_a_schedule_in_the_config_file(
+        self, tmp_path, golden_trace, golden_docs, golden_golds
+    ):
+        dataset, fixtures = write_fixtures(tmp_path, golden_trace, golden_docs, golden_golds)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda": "constant:0.1"}), "utf-8")
+        for out_name, extra, want in [
+            ("file", [], 0.1), ("flag", ["--lambda", "0.3"], 0.3)
+        ]:
+            out_dir = run_rollout_cli(
+                tmp_path, dataset, fixtures, out_name, extra=["--config", str(cfg), *extra]
+            )
+            records = read_rollout_jsonl(out_dir / "rollouts.jsonl")
+            assert [r["lambda"] for r in records] == [want, want]
+            assert {p["breakdown"]["lambda"] for r in records for p in r["pairs"]} == {want}
+
+    def test_lambda_flag_takes_a_linear_schedule(
+        self, tmp_path, golden_trace, golden_docs, golden_golds
+    ):
+        dataset, fixtures = write_fixtures(tmp_path, golden_trace, golden_docs, golden_golds)
+        out_dir = run_rollout_cli(
+            tmp_path, dataset, fixtures, "out", extra=["--lambda", "linear:0:0.2:2"]
+        )
+        records = read_rollout_jsonl(out_dir / "rollouts.jsonl")
+        assert [(r["step"], r["lambda"]) for r in records] == [(0, 0.0), (1, 0.1)]
+        recorded = json.loads((out_dir / "resolved_config.json").read_text("utf-8"))
+        assert recorded["lambda"] == "linear:0:0.2:2"
+        assert recorded["config"]["lambda_schedule"] == {
+            "kind": "linear", "start": 0.0, "end": 0.2, "steps": 2
+        }
+
+    @pytest.mark.parametrize("key", ["lambda_schedule", "format"])
+    def test_unknown_config_key_exits_nonzero(
+        self, tmp_path, capsys, monkeypatch, golden_trace, golden_docs, golden_golds, key
+    ):
+        dataset, fixtures = write_fixtures(tmp_path, golden_trace, golden_docs, golden_golds)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "constant:0.1"}), "utf-8")
+        monkeypatch.setattr(cli, "make_backend", lambda *a, **kw: pytest.fail("backend built"))
+        out_dir = tmp_path / "out"
+        code = main(
+            ["rollout", "--dataset", str(dataset), "--fixtures", str(fixtures),
+             "--config", str(cfg), "--out", str(out_dir)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}: unknown config key {key!r}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--k", "0", "k must be >= 1"), ("--retries", "-1", "retries must be >= 0")],
+    )
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_out_of_range_setting_exits_before_building_anything(
+        self, tmp_path, capsys, monkeypatch, golden_trace, golden_docs, golden_golds,
+        parallel, flag, value, message,
+    ):
+        dataset, fixtures = write_fixtures(tmp_path, golden_trace, golden_docs, golden_golds)
+        monkeypatch.setattr(cli, "make_backend", lambda *a, **kw: pytest.fail("backend built"))
+        out_dir = tmp_path / "out"
+        code = main(
+            ["rollout", "--dataset", str(dataset), "--fixtures", str(fixtures),
+             flag, value, "--parallel", parallel, "--out", str(out_dir)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
 
     def test_missing_dataset_exits_nonzero(self, tmp_path, capsys):
         code = main(

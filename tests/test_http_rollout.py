@@ -137,6 +137,13 @@ def write_fixtures(tmp_path):
     return fixtures
 
 
+class Server(ThreadingHTTPServer):
+    daemon_threads = True
+    # a --parallel 4 rollout opens up to 16 connections at once; the default
+    # backlog of 5 overflows and the kernel drops or resets some of them
+    request_queue_size = 64
+
+
 @pytest.fixture()
 def serve(tmp_path):
     """Start a loopback server; returns (endpoint, stub)."""
@@ -149,8 +156,7 @@ def serve(tmp_path):
         protocol = "HTTP/1.1" if keep_alive else "HTTP/1.0"
         handler = type("BoundHandler", (Handler,), {"protocol_version": protocol})
         handler.stub = Stub(MockBackend(write_fixtures(tmp_path)), status, body)
-        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-        server.daemon_threads = True
+        server = Server(("127.0.0.1", 0), handler)
         thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
         thread.start()
         servers.append((server, thread))
@@ -209,7 +215,7 @@ def test_samples_of_a_group_are_in_flight_together(tmp_path, serve):
 def test_only_transient_statuses_are_retried(serve, status, sent):
     endpoint, stub = serve(status)
     query = queries()[0]
-    group = rollout_one(query, 1, 0.2, HTTPBackend(endpoint=endpoint), RolloutConfig(retries=2))
+    group = rollout_one(query, 0, HTTPBackend(endpoint=endpoint), RolloutConfig(k=1))
     assert group.pairs[0].failed
     assert f"{status} " in group.pairs[0].failure
     assert stub.requests == sent
@@ -235,7 +241,7 @@ def test_malformed_payload_fails_the_sample_not_the_run(serve):
     # a null first log-prob, as servers that echo the prompt send it
     endpoint, stub = serve(200, b'{"choices": [{"text": "<answer> Rome </answer>", '
                                 b'"logprobs": {"token_logprobs": [null, -0.5]}}]}')
-    group = rollout_one(queries()[0], K, 0.2, HTTPBackend(endpoint=endpoint), RolloutConfig(retries=2))
+    group = rollout_one(queries()[0], 0, HTTPBackend(endpoint=endpoint), RolloutConfig(k=K))
     assert len(group.pairs) == K
     for pair in group.pairs:
         assert pair.failed

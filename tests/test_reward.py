@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from structrl._textnorm import normalize_text
-from structrl.errors import EmptyGolds, InconsistentInput, NegativeLambda, ZeroSteps
+from structrl.errors import EmptyGolds, NegativeLambda, ZeroSteps
 from structrl.reward import (
     LambdaSchedule,
     combined_reward,
@@ -117,22 +117,15 @@ class TestDirectReward:
 
 class TestReinferenceReward:
     def test_no_formats_scores_zero(self):
-        assert reinference_reward(None, False, ["any"]) == 0.0
+        assert reinference_reward(None, ["any"]) == 0.0
 
     def test_match_scores_one(self):
         traj = parse_trajectory("<answer>Paris</answer>")
-        assert reinference_reward(traj, True, ["paris"]) == 1.0
+        assert reinference_reward(traj, ["paris"]) == 1.0
 
     def test_missing_answer_scores_zero(self):
         traj = parse_trajectory("<think>hmm</think>")
-        assert reinference_reward(traj, True, ["x"]) == 0.0
-
-    def test_inconsistent_inputs_rejected(self):
-        traj = parse_trajectory("<answer>x</answer>")
-        with pytest.raises(InconsistentInput):
-            reinference_reward(traj, False, ["x"])
-        with pytest.raises(InconsistentInput):
-            reinference_reward(None, True, ["x"])
+        assert reinference_reward(traj, ["x"]) == 0.0
 
 
 class TestCombinedReward:

@@ -74,7 +74,7 @@ class TestRolloutOne:
     def test_golden_group_rewards(self, tmp_path, golden_trace, golden_docs, golden_golds):
         backend = golden_backend(tmp_path, golden_trace)
         group = rollout_one(
-            golden_query(golden_docs, golden_golds), 4, 0.2, backend
+            golden_query(golden_docs, golden_golds), 0, backend, RolloutConfig(k=4)
         )
         assert len(group.pairs) == 4
         for pair in group.pairs:
@@ -89,7 +89,7 @@ class TestRolloutOne:
         rules = [{"contains": "Doc 1:", "response": "<think>easy</think><answer> Rome </answer>"}]
         (tmp_path / "rules.json").write_text(json.dumps(rules), "utf-8")
         query = QueryInstance("q", "capital?", ("some doc",), ("Rome",))
-        group = rollout_one(query, 2, 0.2, MockBackend(tmp_path))
+        group = rollout_one(query, 0, MockBackend(tmp_path), RolloutConfig(k=2))
         for pair in group.pairs:
             assert pair.reinferred is None
             assert pair.breakdown.reinf == 0.0
@@ -99,12 +99,12 @@ class TestRolloutOne:
         rules = [{"contains": "Doc 1:", "response": "<think>stuck</think>"}]
         (tmp_path / "rules.json").write_text(json.dumps(rules), "utf-8")
         query = QueryInstance("q", "capital?", ("some doc",), ("Rome",))
-        group = rollout_one(query, 2, 0.2, MockBackend(tmp_path))
+        group = rollout_one(query, 0, MockBackend(tmp_path), RolloutConfig(k=2))
         assert group.totals() == (0.0, 0.0)
 
     def test_backend_failure_flags_sample_keeps_group_size(self, tmp_path):
         query = QueryInstance("q", "capital?", ("some doc",), ("Rome",))
-        group = rollout_one(query, 3, 0.2, MockBackend(tmp_path))
+        group = rollout_one(query, 0, MockBackend(tmp_path), RolloutConfig(k=3))
         assert len(group.pairs) == 3
         for pair in group.pairs:
             assert pair.failed
@@ -117,7 +117,7 @@ class TestRolloutOne:
         original = backend.generate
         backend.generate = lambda prompt, sampling: calls.append(1) or original(prompt, sampling)
         query = QueryInstance("q", "capital?", ("some doc",), ("Rome",))
-        group = rollout_one(query, 2, 0.2, backend, RolloutConfig(retries=2))
+        group = rollout_one(query, 0, backend, RolloutConfig(k=2, retries=2))
         assert all(p.failed for p in group.pairs)
         assert len(calls) == 2
 
@@ -133,7 +133,9 @@ class TestRolloutOne:
         backend = golden_backend(tmp_path, golden_trace)
         query = golden_query(golden_docs, golden_golds)
         with ThreadPoolExecutor(max_workers=4) as pool:
-            group = rollout_one(query, 4, 0.2, backend, pool=pool if pooled else None)
+            group = rollout_one(
+                query, 0, backend, RolloutConfig(k=4), pool=pool if pooled else None
+            )
         assert len(builds) == 1
         assert all(p.breakdown.reinf == 1.0 for p in group.pairs)
         assert [p.seed for p in group.pairs] == [derive_seed(query.id, i, 0) for i in range(4)]
@@ -152,14 +154,16 @@ class TestRolloutOne:
                 return Generation("<answer> Rome </answer>", None)
 
         query = QueryInstance("q", "capital?", ("some doc",), ("Rome",))
-        ok = rollout_one(query, 1, 0.0, Flaky(2), RolloutConfig(retries=2))
+        ok = rollout_one(query, 0, Flaky(2), RolloutConfig(k=1, retries=2))
         assert not ok.pairs[0].failed
-        failed = rollout_one(query, 1, 0.0, Flaky(2), RolloutConfig(retries=1))
+        failed = rollout_one(query, 0, Flaky(2), RolloutConfig(k=1, retries=1))
         assert failed.pairs[0].failed
 
     def test_pair_serialization_shape(self, tmp_path, golden_trace, golden_docs, golden_golds):
         backend = golden_backend(tmp_path, golden_trace)
-        group = rollout_one(golden_query(golden_docs, golden_golds), 1, 0.2, backend)
+        group = rollout_one(
+            golden_query(golden_docs, golden_golds), 0, backend, RolloutConfig(k=1)
+        )
         d = group.to_dict()
         assert set(d) == {"query", "lambda", "step", "pairs", "advantages"}
         pair = d["pairs"][0]
@@ -220,6 +224,15 @@ class TestRunRollouts:
         groups = list(run_rollouts(self._dataset(), config, backend))
         assert [g.lambda_ for g in groups] == pytest.approx([0.0, 0.1, 0.2])
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("k", 0, "k must be >= 1"), ("k", -1, "k must be >= 1"),
+         ("retries", -1, "retries must be >= 0")],
+    )
+    def test_config_out_of_range_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            RolloutConfig(**{field: value})
+
     def test_empty_dataset_is_empty_stream(self, tmp_path):
         backend = self._backend(tmp_path)
         assert list(run_rollouts([], RolloutConfig(), backend)) == []
@@ -274,7 +287,9 @@ def mixed_rollout(tmp_path_factory, golden_trace, golden_docs, golden_golds):
 class TestRescore:
     def test_lambda_zero_collapses_to_direct(self, tmp_path, golden_trace, golden_docs, golden_golds):
         backend = golden_backend(tmp_path, golden_trace)
-        group = rollout_one(golden_query(golden_docs, golden_golds), 2, 0.2, backend)
+        group = rollout_one(
+            golden_query(golden_docs, golden_golds), 0, backend, RolloutConfig(k=2)
+        )
         records = [group.to_dict()]
         rescored = rescore_records(records, 0.0)
         for pair in rescored[0]["pairs"]:
@@ -283,7 +298,9 @@ class TestRescore:
 
     def test_rescoring_never_touches_generation(self, tmp_path, golden_trace, golden_docs, golden_golds):
         backend = golden_backend(tmp_path, golden_trace)
-        group = rollout_one(golden_query(golden_docs, golden_golds), 2, 0.2, backend)
+        group = rollout_one(
+            golden_query(golden_docs, golden_golds), 0, backend, RolloutConfig(k=2)
+        )
         records = [group.to_dict()]
         rescored = rescore_records(records, 0.5)
         assert rescored[0]["pairs"][0]["primary"] == records[0]["pairs"][0]["primary"]
@@ -292,7 +309,9 @@ class TestRescore:
     @pytest.fixture()
     def records(self, tmp_path, golden_trace, golden_docs, golden_golds):
         backend = golden_backend(tmp_path, golden_trace)
-        group = rollout_one(golden_query(golden_docs, golden_golds), 3, 0.2, backend)
+        group = rollout_one(
+            golden_query(golden_docs, golden_golds), 0, backend, RolloutConfig(k=3)
+        )
         record = json.loads(json.dumps(group.to_dict()))
         # a second group whose samples score differently, so advantages are not all 0
         other = copy.deepcopy(record)
