@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
 """Check the information-density ordering on a seeded synthetic corpus.
 
-For each generated instance the raw documents, the best predefined structure,
-and a self-defined structure are measured as rho = matched facts / tokens, and
-the chain rho(raw) < max(predefined) <= max(all candidates) is verified. The
-script exits nonzero if any instance fails, so it can gate automation.
+Runs `structrl density --synthetic`, which measures, for each generated
+instance, the raw documents, the best predefined structure and a self-defined
+structure as rho = matched facts / tokens, and verifies the chain
+rho(raw) < max(predefined) <= max(all candidates). The first instances and a
+summary are printed from the report it writes. The script exits nonzero if
+any instance fails or misses the premise, so it can gate automation.
 """
 import argparse
 import json
 import sys
+import tempfile
 from pathlib import Path
 
-from structrl.density import SyntheticSpec, generate_synthetic, run_corpus
+from structrl import cli
 
 
 def describe(instance):
@@ -26,14 +29,21 @@ def describe(instance):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--n", default="100")
+    parser.add_argument("--seed", default="7")
     parser.add_argument("--show", type=int, default=3, help="instances to print")
     parser.add_argument("--out", default=None, help="write the full JSON report here")
     args = parser.parse_args(argv)
 
-    spec = SyntheticSpec(n_instances=args.n, seed=args.seed)
-    report = run_corpus(generate_synthetic(spec))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(args.out) if args.out else Path(tmp) / "density_report.json"
+        out.parent.mkdir(parents=True, exist_ok=True)
+        code = cli.main(
+            ["density", "--synthetic", "--n", args.n, "--seed", args.seed, "--out", str(out)]
+        )
+        if code:
+            return code
+        report = json.loads(out.read_text("utf-8"))
 
     for instance in report["instances"][: args.show]:
         print(describe(instance))
@@ -42,11 +52,7 @@ def main(argv=None):
         f"\nsummary: n={summary['n']} pass={summary['pass']} "
         f"fail={summary['fail']} premise_unmet={summary['premise_unmet']}"
     )
-
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report, ensure_ascii=False, indent=2) + "\n", "utf-8")
         print(f"report written to {out}")
 
     return 0 if summary["fail"] == 0 and summary["premise_unmet"] == 0 else 1

@@ -23,7 +23,6 @@ from .density import (
     Matcher,
     StructureCandidate,
     SyntheticInstance,
-    SyntheticSpec,
     generate_synthetic,
     run_corpus,
 )
@@ -59,18 +58,23 @@ STRICT_RULES = {Rule.NO_ANSWER, Rule.PLACEHOLDER_FORMAT, Rule.PLACEHOLDER_ANSWER
 def parse_schedule(value: float | str) -> LambdaSchedule:
     """Parse a number V, 'constant:V' or 'linear:START:END:STEPS'."""
     parts = str(value).split(":")
+    if len(parts) == 1:
+        parts = ["constant", *parts]
+    args = None
+    # only the number conversions sit in the try: a value the schedule itself
+    # rejects, such as a negative lambda, keeps its own message
     try:
-        if len(parts) == 1:
-            return LambdaSchedule.constant(float(parts[0]))
         if parts[0] == "constant" and len(parts) == 2:
-            return LambdaSchedule.constant(float(parts[1]))
-        if parts[0] == "linear" and len(parts) == 4:
-            return LambdaSchedule.linear(float(parts[1]), float(parts[2]), int(parts[3]))
+            args = (float(parts[1]),)
+        elif parts[0] == "linear" and len(parts) == 4:
+            args = (float(parts[1]), float(parts[2]), int(parts[3]))
     except ValueError:
         pass
-    raise ValueError(
-        f"bad lambda {value!r}: want V, constant:V or linear:START:END:STEPS"
-    )
+    if args is None:
+        raise ValueError(
+            f"bad lambda {value!r}: want V, constant:V or linear:START:END:STEPS"
+        )
+    return LambdaSchedule.constant(*args) if len(args) == 1 else LambdaSchedule.linear(*args)
 
 
 def _lambda_arg(text: str) -> float | str:
@@ -275,6 +279,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if qid not in instances:
             raise ParseError(f"unknown prediction id {qid!r}", lineno, args.predictions)
         prediction = _field(record, "prediction", args.predictions, lineno)
+        if not isinstance(prediction, str):
+            raise ParseError("field 'prediction' must be a string", lineno, args.predictions)
         pairs.append((prediction, list(instances[qid].golds)))
     summary = ev.evaluate(pairs)
     name = Path(args.dataset).stem
@@ -302,11 +308,7 @@ def _corpus_instances(path: str) -> list[SyntheticInstance]:
 
 def cmd_density(args: argparse.Namespace) -> int:
     if args.synthetic:
-        if args.spec:
-            spec = SyntheticSpec.from_dict(json.loads(Path(args.spec).read_text("utf-8")))
-        else:
-            spec = SyntheticSpec(n_instances=args.n, seed=args.seed)
-        instances = generate_synthetic(spec)
+        instances = generate_synthetic(args.n, args.seed)
     elif args.corpus:
         instances = _corpus_instances(args.corpus)
     else:
@@ -415,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="density ordering report")
     p.add_argument("--corpus", default=None)
     p.add_argument("--synthetic", action="store_true")
-    p.add_argument("--spec", default=None)
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", default=None)
@@ -445,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (StructRLError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (StructRLError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

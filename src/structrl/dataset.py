@@ -15,7 +15,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .errors import DuplicateId, MissingField, ParseError, SampleTooLarge
+from .errors import MissingField, ParseError
 
 REQUIRED_FIELDS = ("id", "question", "docs", "golden_answers")
 
@@ -40,9 +40,14 @@ class QueryInstance:
         for name in REQUIRED_FIELDS:
             if name not in d:
                 raise MissingField(name, line, path)
-        # a query without documents or gold answers cannot be rolled out or scored
+        if not isinstance(d["question"], str):
+            raise ParseError("field 'question' must be a string", line, path)
         for name in ("docs", "golden_answers"):
-            if not d[name]:
+            value = d[name]
+            if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
+                raise ParseError(f"field {name!r} must be a list of strings", line, path)
+            # a query without documents or gold answers cannot be rolled out or scored
+            if not value:
                 raise ParseError(f"field {name!r} is empty", line, path)
         return cls(
             id=str(d["id"]),
@@ -84,7 +89,7 @@ def load_jsonl(path: str | Path) -> list[QueryInstance]:
             raise ParseError("record is not a JSON object", lineno, path)
         inst = QueryInstance.from_dict(record, lineno, path)
         if inst.id in seen:
-            raise DuplicateId(f"duplicate id {inst.id!r}", lineno, path)
+            raise ParseError(f"duplicate id {inst.id!r}", lineno, path)
         seen.add(inst.id)
         instances.append(inst)
     return instances
@@ -105,7 +110,7 @@ def sample(instances: list[QueryInstance], n: int, seed: int) -> list[QueryInsta
     j = integers(0, i+1); the first n entries of the shuffle are the sample.
     """
     if n > len(instances):
-        raise SampleTooLarge(f"asked for {n} of {len(instances)} instances")
+        raise ValueError(f"asked for {n} of {len(instances)} instances")
     arr = list(instances)
     rng = np.random.default_rng(seed)
     for i in range(len(arr) - 1, 0, -1):
@@ -159,7 +164,7 @@ def convert_file(src: str | Path, dst: str | Path) -> int:
     for line, record in records:
         inst = convert_record(record, line, src)
         if inst.id in seen:
-            raise DuplicateId(f"duplicate id {inst.id!r}", line, src)
+            raise ParseError(f"duplicate id {inst.id!r}", line, src)
         seen.add(inst.id)
         instances.append(inst)
     write_jsonl(dst, instances)

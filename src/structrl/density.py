@@ -1,5 +1,5 @@
-"""Information density: fact coverage per token, structure selection, and a
-numeric check of the ordering "raw docs < best predefined <= best overall".
+"""Information density: fact coverage per token, and a numeric check of the
+ordering "raw docs < best predefined <= best overall".
 
 Information content is operationalized as gold-fact coverage: a fact counts
 when its normalized form appears contiguously in the text (containment) or
@@ -17,7 +17,6 @@ from enum import Enum
 import numpy as np
 
 from ._textnorm import norm_tokens, normalize_text
-from .errors import EmptyCandidates, EmptyText
 from .prompting import PREDEFINED_FORMATS
 
 _PREDEFINED_LABELS = {name.lower() for name in PREDEFINED_FORMATS}
@@ -75,35 +74,16 @@ def _matched(norm: str, facts: FactSet) -> tuple[str, ...]:
     return tuple(f for f in facts.facts if (ft := set(norm_tokens(f))) and ft <= tokens)
 
 
-def info_content(a: str, facts: FactSet) -> int:
-    """Number of gold facts the text covers."""
-    return len(_matched(normalize_text(a), facts))
-
-
 def density(a: str, facts: FactSet) -> DensityMeasurement:
     """Facts covered per normalized token; the text is normalized once."""
     norm = normalize_text(a)
     length = len(norm.split())
     if length == 0:
-        raise EmptyText("density needs at least one token")
+        raise ValueError("density needs at least one token")
     matched = _matched(norm, facts)
     return DensityMeasurement(
         info=len(matched), length=length, rho=len(matched) / length, matched_facts=matched
     )
-
-
-def best_structure(
-    cands: list[StructureCandidate], facts: FactSet
-) -> tuple[str, DensityMeasurement]:
-    """Highest-density candidate; ties go to the earliest."""
-    if not cands:
-        raise EmptyCandidates("structure selection needs at least one candidate")
-    best: tuple[str, DensityMeasurement] | None = None
-    for cand in cands:
-        m = density(cand.body, facts)
-        if best is None or m.rho > best[1].rho:
-            best = (cand.label, m)
-    return best
 
 
 @dataclass(frozen=True)
@@ -189,26 +169,10 @@ def verify_ordering(
     )
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Knobs for the constructed-instance corpus.
-
-    Instances are built so the ordering and its premises hold by
-    construction: facts are unique token triples, the raw text pads each
-    fact with filler, the table candidate holds every fact plus a 3-token
-    header, and the self-defined timeline holds every fact with no header.
-    """
-
-    n_instances: int = 100
-    seed: int = 7
-    min_facts: int = 2
-    max_facts: int = 5
-    min_filler: int = 6
-    max_filler: int = 12
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticSpec":
-        return cls(**{k: d[k] for k in d if k in cls.__dataclass_fields__})
+# ranges of the synthetic generator, inclusive: facts per instance, and
+# filler tokens before each fact
+MIN_FACTS, MAX_FACTS = 2, 5
+MIN_FILLER, MAX_FILLER = 6, 12
 
 
 @dataclass(frozen=True)
@@ -218,15 +182,21 @@ class SyntheticInstance:
     facts: FactSet
 
 
-def generate_synthetic(spec: SyntheticSpec) -> list[SyntheticInstance]:
-    rng = np.random.default_rng(spec.seed)
+def generate_synthetic(n_instances: int, seed: int) -> list[SyntheticInstance]:
+    """Constructed instances on which the ordering and its premises hold.
+
+    Facts are unique token triples, the raw text pads each fact with filler,
+    the table candidate holds every fact plus a 3-token header, and the
+    self-defined timeline holds every fact with no header.
+    """
+    rng = np.random.default_rng(seed)
     instances: list[SyntheticInstance] = []
-    for idx in range(spec.n_instances):
-        k = int(rng.integers(spec.min_facts, spec.max_facts + 1))
+    for idx in range(n_instances):
+        k = int(rng.integers(MIN_FACTS, MAX_FACTS + 1))
         facts = tuple(f"ent{idx}x{j} rel{idx}x{j} val{idx}x{j}" for j in range(k))
         sentences = []
         for j, fact in enumerate(facts):
-            w = int(rng.integers(spec.min_filler, spec.max_filler + 1))
+            w = int(rng.integers(MIN_FILLER, MAX_FILLER + 1))
             filler = " ".join(f"pad{idx}x{j}x{t}" for t in range(w))
             sentences.append(f"{filler} {fact}.")
         extra = int(rng.integers(5, 16))

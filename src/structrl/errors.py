@@ -1,46 +1,21 @@
 """Exception types raised across the package.
 
-All inherit from StructRLError so callers can catch package failures in one
-clause. Parse errors name, when known, the file and the 1-based line number
-of the offending record.
+One type per kind of failure:
+
+- a bad value passed to a function (an empty group, a negative lambda, a
+  sample larger than its population) raises the built-in ``ValueError``;
+- a record read from disk that is malformed raises ``ParseError``, naming,
+  when known, the file and the 1-based line number of the record;
+- a failed generation call raises ``BackendError``.
+
+The last two inherit from StructRLError, so the CLI catches package failures
+in one clause beside ``ValueError`` and ``OSError``.
 """
 from __future__ import annotations
 
 
 class StructRLError(Exception):
     """Base class for all package-specific failures."""
-
-
-class EmptyDocs(StructRLError):
-    """Main prompt requested with no retrieved documents."""
-
-
-class NoFormats(StructRLError):
-    """Re-inference requested for a trajectory without format blocks."""
-
-
-class EmptyGolds(StructRLError):
-    """Metric requested with no gold answers."""
-
-
-class NegativeLambda(StructRLError):
-    """Reward mixing weight must be non-negative."""
-
-
-class ZeroSteps(StructRLError):
-    """Linear schedule needs a positive step horizon."""
-
-
-class EmptyGroup(StructRLError):
-    """Advantage computation needs at least one sample."""
-
-
-class NonPositiveRatio(StructRLError):
-    """Importance ratio must be strictly positive."""
-
-
-class LengthMismatch(StructRLError):
-    """Paired token-level sequences differ in length."""
 
 
 class BackendError(StructRLError):
@@ -56,7 +31,7 @@ class BackendError(StructRLError):
 
 
 class ParseError(StructRLError):
-    """Malformed dataset record."""
+    """Malformed record read from disk."""
 
     def __init__(self, message: str, line: int | None = None, path: object = None) -> None:
         where = [] if path is None else [str(path)]
@@ -67,28 +42,8 @@ class ParseError(StructRLError):
 
 
 class MissingField(ParseError):
-    """Dataset record lacks a required field."""
+    """Record lacks a required field."""
 
     def __init__(self, field: str, line: int | None = None, path: object = None) -> None:
         super().__init__(f"missing field {field!r}", line, path)
         self.field = field
-
-
-class DuplicateId(ParseError):
-    """Two dataset records share an id."""
-
-
-class SampleTooLarge(StructRLError):
-    """Requested sample exceeds the population size."""
-
-
-class EmptyInput(StructRLError):
-    """Aggregation requested over zero instances."""
-
-
-class EmptyText(StructRLError):
-    """Density requested for text with no tokens."""
-
-
-class EmptyCandidates(StructRLError):
-    """Structure selection requested with no candidates."""

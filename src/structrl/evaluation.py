@@ -10,7 +10,6 @@ import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 
-from .errors import EmptyInput
 from .reward import exact_match, f1
 
 
@@ -25,7 +24,7 @@ class MetricsSummary:
 def evaluate(pairs: list[tuple[str, list[str]]]) -> MetricsSummary:
     """Mean per-instance EM and max-F1; error is 1 - EM exactly."""
     if not pairs:
-        raise EmptyInput("evaluation needs at least one (prediction, golds) pair")
+        raise ValueError("evaluation needs at least one (prediction, golds) pair")
     n = len(pairs)
     em = sum(exact_match(pred, golds) for pred, golds in pairs) / n
     f1_mean = sum(f1(pred, golds) for pred, golds in pairs) / n

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import EmptyGroup, LengthMismatch, NonPositiveRatio
-
 
 @dataclass(frozen=True)
 class RewardGroup:
@@ -21,7 +19,7 @@ class RewardGroup:
 
     def __post_init__(self) -> None:
         if not self.rewards:
-            raise EmptyGroup("reward group needs at least one sample")
+            raise ValueError("reward group needs at least one sample")
         if not all(math.isfinite(r) for r in self.rewards):
             raise ValueError("rewards must be finite")
 
@@ -41,7 +39,7 @@ class TokenLogProbs:
 
     def __post_init__(self) -> None:
         if not (len(self.policy) == len(self.reference) == len(self.behavior)):
-            raise LengthMismatch(
+            raise ValueError(
                 "policy, reference, and behavior sequences must align token-for-token"
             )
 
@@ -69,7 +67,7 @@ def group_advantages(g: RewardGroup) -> AdvantageSet:
 def clipped_term(ratio: float, advantage: float, epsilon: float) -> float:
     """min of the unclipped and clipped surrogate for one sample."""
     if ratio <= 0:
-        raise NonPositiveRatio(f"importance ratio must be positive, got {ratio}")
+        raise ValueError(f"importance ratio must be positive, got {ratio}")
     clipped = min(max(ratio, 1.0 - epsilon), 1.0 + epsilon)
     return min(ratio * advantage, clipped * advantage)
 
@@ -122,12 +120,12 @@ def objective(
     ratio computed at sequence level from length-normalized log-ratios.
     """
     if not groups:
-        raise EmptyGroup("objective needs at least one group")
+        raise ValueError("objective needs at least one group")
     signals: list[list[SampleSignal]] = []
     terms: list[float] = []
     for rewards, logprobs in groups:
         if len(rewards.rewards) != len(logprobs):
-            raise LengthMismatch("one log-prob record per group sample required")
+            raise ValueError("one log-prob record per group sample required")
         advantages = group_advantages(rewards).advantages
         group_signals: list[SampleSignal] = []
         for reward, adv, t in zip(rewards.rewards, advantages, logprobs):
@@ -147,7 +145,7 @@ def write_training_signals(
 ) -> None:
     """One JSONL record per sample, keyed by query id and sample index."""
     if len(query_ids) != len(signals):
-        raise LengthMismatch("one query id per signal group required")
+        raise ValueError("one query id per signal group required")
     with open(path, "w", encoding="utf-8") as fh:
         for qid, group in zip(query_ids, signals):
             for i, sig in enumerate(group):

@@ -14,8 +14,6 @@ from __future__ import annotations
 import functools
 from importlib import resources
 
-from .errors import EmptyDocs, NoFormats
-
 PREDEFINED_FORMATS = ("Chunk", "Knowledge Graph", "Table", "Catalogue", "Algorithm")
 
 
@@ -48,7 +46,7 @@ def render_docs(docs: list[str]) -> str:
 def build_main_prompt(question: str, docs: list[str]) -> str:
     """Generation prompt over the retrieved documents."""
     if not docs:
-        raise EmptyDocs("main prompt needs at least one retrieved document")
+        raise ValueError("main prompt needs at least one retrieved document")
     return splice(main_template(), render_docs(docs), question)
 
 
@@ -64,6 +62,6 @@ def build_reinference_prompt(question: str, formats: list[tuple[str, str]]) -> s
     the second-pass reward measure the structures rather than the retrieval.
     """
     if not formats:
-        raise NoFormats("no format blocks to re-infer from")
+        raise ValueError("no format blocks to re-infer from")
     context = join_format_bodies(formats)
     return splice(reinference_template(), context, question)

@@ -12,13 +12,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ._textnorm import normalize_text, norm_tokens
-from .errors import EmptyGolds, NegativeLambda, ZeroSteps
 from .trajectory import Trajectory
 
 
 def _require_golds(golds: list[str]) -> None:
     if not golds:
-        raise EmptyGolds("metric needs at least one gold answer")
+        raise ValueError("metric needs at least one gold answer")
 
 
 def exact_match(pred: str, golds: list[str]) -> float:
@@ -80,7 +79,7 @@ class RewardBreakdown:
 
 def combined_reward(direct: float, reinf: float, lambda_: float) -> RewardBreakdown:
     if lambda_ < 0:
-        raise NegativeLambda(f"lambda must be non-negative, got {lambda_}")
+        raise ValueError(f"lambda must be non-negative, got {lambda_}")
     return RewardBreakdown(direct, reinf, lambda_, direct + lambda_ * reinf)
 
 
@@ -99,18 +98,21 @@ class LambdaSchedule:
     end: float = 0.2
     steps: int = 0
 
+    def __post_init__(self) -> None:
+        if self.kind is ScheduleKind.CONSTANT:
+            if self.value < 0:
+                raise ValueError(f"lambda must be non-negative, got {self.value}")
+        elif self.steps <= 0:
+            raise ValueError("linear schedule needs steps >= 1")
+        elif self.start < 0 or self.end < 0:
+            raise ValueError("lambda endpoints must be non-negative")
+
     @classmethod
     def constant(cls, value: float) -> "LambdaSchedule":
-        if value < 0:
-            raise NegativeLambda(f"lambda must be non-negative, got {value}")
         return cls(kind=ScheduleKind.CONSTANT, value=value)
 
     @classmethod
     def linear(cls, start: float, end: float, steps: int) -> "LambdaSchedule":
-        if steps <= 0:
-            raise ZeroSteps("linear schedule needs steps >= 1")
-        if start < 0 or end < 0:
-            raise NegativeLambda("lambda endpoints must be non-negative")
         return cls(kind=ScheduleKind.LINEAR, start=start, end=end, steps=steps)
 
     def to_dict(self) -> dict:
@@ -128,8 +130,6 @@ def lambda_at(schedule: LambdaSchedule, step: int) -> float:
     """Weight at a step index; linear schedules clamp past their horizon."""
     if schedule.kind is ScheduleKind.CONSTANT:
         return schedule.value
-    if schedule.steps <= 0:
-        raise ZeroSteps("linear schedule needs steps >= 1")
     return schedule.start + (schedule.end - schedule.start) * min(
         step, schedule.steps
     ) / schedule.steps

@@ -137,9 +137,14 @@ def _scan(raw: str) -> tuple[list[Block], list[Violation]]:
     An unclosed open tag is flagged and scanning resumes just past the tag, so
     well-formed blocks inside the broken region are still recovered. A format
     region whose closing name mismatches is flagged and skipped whole.
+
+    Once the search for a close tag of one kind fails, no later open tag of
+    that kind can close either; remembering that keeps the pass linear in
+    unclosed tags.
     """
     blocks: list[Block] = []
     issues: list[Violation] = []
+    unclosed: set[str] = set()
     pos = 0
     while True:
         m = _OPEN_RE.search(raw, pos)
@@ -149,8 +154,9 @@ def _scan(raw: str) -> tuple[list[Block], list[Violation]]:
         if tag == "<think>" or tag == "<answer>":
             kind = BlockKind.THINK if tag == "<think>" else BlockKind.ANSWER
             close = f"</{tag[1:]}"
-            end = raw.find(close, m.end())
+            end = -1 if tag in unclosed else raw.find(close, m.end())
             if end == -1:
+                unclosed.add(tag)
                 issues.append(
                     Violation(Rule.UNCLOSED_TAG, (m.start(), len(raw)), f"unclosed {tag}")
                 )
@@ -166,8 +172,9 @@ def _scan(raw: str) -> tuple[list[Block], list[Violation]]:
                 # not a recognized tag; treat as plain text
                 pos = m.end()
                 continue
-            cm = _FORMAT_CLOSE_RE.search(raw, m.end())
+            cm = None if "format" in unclosed else _FORMAT_CLOSE_RE.search(raw, m.end())
             if cm is None:
+                unclosed.add("format")
                 issues.append(
                     Violation(Rule.UNCLOSED_TAG, (m.start(), len(raw)), f"unclosed <format: {name}>")
                 )

@@ -16,7 +16,7 @@ import pytest
 
 from structrl.cli import main
 from structrl.dataset import QueryInstance, load_jsonl, sample, write_jsonl
-from structrl.density import SyntheticSpec, generate_synthetic, run_corpus
+from structrl.density import generate_synthetic, run_corpus
 from structrl.grpo import (
     ObjectiveConfig,
     RewardGroup,
@@ -319,7 +319,7 @@ def test_criterion_6_determinism(tmp_path, golden_trace, golden_docs, golden_gol
 def test_criterion_7_density_theory():
     with criterion(7, "density theory"):
         start = time.perf_counter()
-        instances = generate_synthetic(SyntheticSpec(n_instances=100, seed=7))
+        instances = generate_synthetic(100, 7)
         report = run_corpus(instances)
         summary = report["summary"]
         assert summary["n"] == 100

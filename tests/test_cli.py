@@ -322,13 +322,35 @@ class TestRolloutCommand:
         )
         assert not (out_dir / "rollouts.jsonl").exists()
 
-    @pytest.mark.parametrize("field", ["docs", "golden_answers"])
-    def test_empty_field_fails_at_load_with_line(
-        self, tmp_path, capsys, monkeypatch, golden_trace, golden_docs, golden_golds, field
+    @pytest.mark.parametrize(
+        "value, message",
+        [("-0.5", "lambda must be non-negative, got -0.5"),
+         ("linear:0:0.2:0", "linear schedule needs steps >= 1")],
+        ids=["negative", "zero-steps"],
+    )
+    def test_lambda_out_of_range_keeps_its_message(
+        self, tmp_path, capsys, monkeypatch, golden_trace, golden_docs, golden_golds,
+        value, message,
     ):
         dataset, fixtures = write_fixtures(tmp_path, golden_trace, golden_docs, golden_golds)
+        monkeypatch.setattr(cli, "make_backend", lambda *a, **kw: pytest.fail("backend built"))
+        out_dir = tmp_path / "out"
+        code = main(
+            ["rollout", "--dataset", str(dataset), "--fixtures", str(fixtures),
+             "--lambda", value, "--out", str(out_dir)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    def rollout_with_bad_field(
+        self, tmp_path, monkeypatch, golden_trace, golden_docs, golden_golds, field, value
+    ):
+        """Roll out a dataset whose line 2 sets ``field`` to ``value``; it must
+        fail at load, before any backend or output exists."""
+        dataset, fixtures = write_fixtures(tmp_path, golden_trace, golden_docs, golden_golds)
         first, second = dataset.read_text("utf-8").splitlines()
-        bad = {**json.loads(second), field: []}
+        bad = {**json.loads(second), field: value}
         dataset.write_text(first + "\n" + json.dumps(bad) + "\n", "utf-8")
         monkeypatch.setattr(cli, "make_backend", lambda *a, **kw: pytest.fail("backend built"))
         out_dir = tmp_path / "out"
@@ -336,8 +358,39 @@ class TestRolloutCommand:
             ["rollout", "--dataset", str(dataset), "--fixtures", str(fixtures), "--out", str(out_dir)]
         )
         assert code == 1
-        assert capsys.readouterr().err == f"error: {dataset} line 2: field '{field}' is empty\n"
         assert not out_dir.exists()
+        return dataset
+
+    @pytest.mark.parametrize("field", ["docs", "golden_answers"])
+    def test_empty_field_fails_at_load_with_line(
+        self, tmp_path, capsys, monkeypatch, golden_trace, golden_docs, golden_golds, field
+    ):
+        dataset = self.rollout_with_bad_field(
+            tmp_path, monkeypatch, golden_trace, golden_docs, golden_golds, field, []
+        )
+        assert capsys.readouterr().err == f"error: {dataset} line 2: field '{field}' is empty\n"
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("question", 5, "a string"),
+            ("docs", "abc", "a list of strings"),
+            ("docs", ["d", None], "a list of strings"),
+            ("golden_answers", [3], "a list of strings"),
+            ("golden_answers", "Rome", "a list of strings"),
+        ],
+        ids=["question-number", "docs-string", "docs-null-item", "golds-number", "golds-string"],
+    )
+    def test_wrong_type_fails_at_load_with_line(
+        self, tmp_path, capsys, monkeypatch, golden_trace, golden_docs, golden_golds,
+        field, value, expected,
+    ):
+        dataset = self.rollout_with_bad_field(
+            tmp_path, monkeypatch, golden_trace, golden_docs, golden_golds, field, value
+        )
+        assert capsys.readouterr().err == (
+            f"error: {dataset} line 2: field '{field}' must be {expected}\n"
+        )
 
 
 class TestScoreExport:
@@ -476,6 +529,22 @@ class TestEvalCommand:
             f"error: {predictions} line 2: unknown prediction id 'zz'\n"
         )
 
+    def test_prediction_that_is_not_a_string_names_file_and_line(self, tmp_path, capsys):
+        dataset = self.dataset(tmp_path)
+        predictions = tmp_path / "preds.jsonl"
+        predictions.write_text(
+            json.dumps({"id": "q1", "prediction": "x"}) + "\n"
+            + json.dumps({"id": "q2", "prediction": 5}) + "\n",
+            "utf-8",
+        )
+        code = main(
+            ["eval", "--predictions", str(predictions), "--dataset", str(dataset)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {predictions} line 2: field 'prediction' must be a string\n"
+        )
+
 
 class TestDensityCommand:
     def test_synthetic_report_validates_against_schema(self, tmp_path, capsys):
@@ -491,13 +560,6 @@ class TestDensityCommand:
             .read_text("utf-8")
         )
         jsonschema.validate(json.loads(out.read_text("utf-8")), schema)
-
-    def test_spec_file(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"n_instances": 4, "seed": 11}), "utf-8")
-        code = main(["density", "--synthetic", "--spec", str(spec)])
-        assert code == 0
-        assert "instances=4" in capsys.readouterr().out
 
     def test_corpus_file(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"

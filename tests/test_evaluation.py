@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from structrl.errors import EmptyInput
 from structrl.evaluation import MetricsSummary, evaluate, format_percent, report
 
 
@@ -28,7 +27,7 @@ class TestEvaluate:
         assert summary.em == 0.0 and summary.f1 == 0.0 and summary.error == 1.0
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ValueError, match="evaluation needs at least one"):
             evaluate([])
 
     def test_error_is_one_minus_em(self):

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from structrl.errors import EmptyDocs, NoFormats
 from structrl.prompting import (
     PREDEFINED_FORMATS,
     build_main_prompt,
@@ -41,7 +40,7 @@ class TestMainPrompt:
         assert "Question: Which rover landed most recently?" in p
 
     def test_empty_docs_rejected(self):
-        with pytest.raises(EmptyDocs):
+        with pytest.raises(ValueError, match="main prompt needs at least one retrieved document"):
             build_main_prompt("q", [])
 
     def test_substitution_is_positional_not_recursive(self):
@@ -80,7 +79,7 @@ class TestReinferencePrompt:
         assert "secretname" not in p
 
     def test_empty_formats_rejected(self):
-        with pytest.raises(NoFormats):
+        with pytest.raises(ValueError, match="no format blocks to re-infer from"):
             build_reinference_prompt("q", [])
 
     def test_golden_trace_context_excludes_docs(self, golden_trace, golden_docs):

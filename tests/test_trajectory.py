@@ -1,7 +1,7 @@
 import string
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structrl import trajectory
@@ -136,6 +136,80 @@ class TestParseProperties:
     def test_never_raises_on_arbitrary_text(self, raw):
         traj = parse_trajectory(raw)
         validate(traj, DocIndex(["some doc text"]))
+
+
+
+def quadratic_scan(raw):
+    """The scan before it remembered failed close searches, kept as the
+    reference: it searches to the end of the text for every unclosed tag."""
+    t = trajectory
+    blocks, issues = [], []
+    pos = 0
+    while True:
+        m = t._OPEN_RE.search(raw, pos)
+        if m is None:
+            break
+        tag = m.group(0)
+        if tag == "<think>" or tag == "<answer>":
+            kind = t.BlockKind.THINK if tag == "<think>" else t.BlockKind.ANSWER
+            close = f"</{tag[1:]}"
+            end = raw.find(close, m.end())
+            if end == -1:
+                issues.append(
+                    t.Violation(t.Rule.UNCLOSED_TAG, (m.start(), len(raw)), f"unclosed {tag}")
+                )
+                pos = m.end()
+                continue
+            blocks.append(t.Block(kind, raw[m.end() : end], (m.start(), end + len(close))))
+            pos = end + len(close)
+        else:
+            name = m.group(1).strip()
+            if not t.FORMAT_NAME_RE.match(name):
+                pos = m.end()
+                continue
+            cm = t._FORMAT_CLOSE_RE.search(raw, m.end())
+            if cm is None:
+                issues.append(
+                    t.Violation(
+                        t.Rule.UNCLOSED_TAG, (m.start(), len(raw)), f"unclosed <format: {name}>"
+                    )
+                )
+                pos = m.end()
+                continue
+            close_name = cm.group(1).strip()
+            if close_name != name:
+                issues.append(
+                    t.Violation(
+                        t.Rule.MISMATCHED_FORMAT_NAME,
+                        (m.start(), cm.end()),
+                        f"opening name {name!r} does not match closing name {close_name!r}",
+                    )
+                )
+                pos = cm.end()
+                continue
+            blocks.append(
+                t.Block(
+                    t.BlockKind.FORMAT,
+                    raw[m.end() : cm.start()],
+                    (m.start(), cm.end()),
+                    format_name=name,
+                )
+            )
+            pos = cm.end()
+    return blocks, issues
+
+
+TAG_FRAGMENTS = [
+    "<think>", "</think>", "<answer>", "</answer>",
+    "<format: t>", "</format: t>", "<format: u v>", "</format: u v>",
+    "<format: bad!>", "</format:>", "<answer", "x", " ", "word\n",
+]
+
+
+@given(st.lists(st.sampled_from(TAG_FRAGMENTS), min_size=100, max_size=400).map("".join))
+@settings(max_examples=60)
+def test_scan_equals_the_quadratic_reference(raw):
+    assert trajectory._scan(raw) == quadratic_scan(raw)
 
 
 NO_DOCS = DocIndex([])
