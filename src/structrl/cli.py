@@ -26,6 +26,7 @@ from .density import (
     generate_synthetic,
     run_corpus,
 )
+from ._textnorm import norm_tokens
 from .backends import ENDPOINT_ENV, make_backend
 from .errors import MissingField, ParseError, StructRLError
 from .grpo import ObjectiveConfig, RewardGroup, TokenLogProbs, objective, write_training_signals
@@ -33,23 +34,42 @@ from .reward import LambdaSchedule
 from .rollout import RolloutConfig, read_rollout_jsonl, rescore_records, run_rollouts, write_rollout_jsonl
 from .trajectory import DocIndex, Rule, parse_trajectory, validate
 
-DEFAULTS = {
-    "backend": "mock",
-    "endpoint": None,
-    "fixtures": None,
-    "model": "default",
-    "k": 8,
-    "lambda": 0.2,
-    "epsilon": 0.2,
-    "beta": 0.001,
-    "seed": 0,
-    "parallel": 1,
-    "temperature": 1.0,
-    "max_tokens": 1024,
-    "retries": 2,
+def _lambda_arg(text: str) -> float | str:
+    """``--lambda``: a bare number stays a number, anything else is a schedule."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+# every run setting: name -> (type, default). The rollout flags, score-export's
+# --epsilon and --beta, the config-file checks and resolved_config.json all
+# come from this table.
+SETTINGS = {
+    "backend": (str, "mock"),
+    "endpoint": (str, None),
+    "fixtures": (str, None),
+    "model": (str, "default"),
+    "k": (int, 8),
+    "lambda": (_lambda_arg, 0.2),
+    "epsilon": (float, 0.2),
+    "beta": (float, 0.001),
+    "seed": (int, 0),
+    "parallel": (int, 1),
+    "temperature": (float, 1.0),
+    "max_tokens": (int, 1024),
+    "retries": (int, 2),
 }
-# keys a run's resolved_config.json holds beside DEFAULTS; a config file may
-# carry them, so that file can be passed back as --config, but they are not read
+# the JSON values a config file may give a setting of each type, never a bool;
+# a setting whose default is None may also be null
+_CONFIG_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    _lambda_arg: ((int, float, str), "a number or a string"),
+}
+# keys resolved_config.json holds beside SETTINGS ("config": older versions);
+# a config file may carry them, unread, so a run's record can be passed back
 SIDECAR_KEYS = {"command", "config", "dataset", "out"}
 
 STRICT_RULES = {Rule.NO_ANSWER, Rule.PLACEHOLDER_FORMAT, Rule.PLACEHOLDER_ANSWER}
@@ -65,7 +85,7 @@ def parse_schedule(value: float | str) -> LambdaSchedule:
     # rejects, such as a negative lambda, keeps its own message
     try:
         if parts[0] == "constant" and len(parts) == 2:
-            args = (float(parts[1]),)
+            args = (float(parts[1]), float(parts[1]), 1)
         elif parts[0] == "linear" and len(parts) == 4:
             args = (float(parts[1]), float(parts[2]), int(parts[3]))
     except ValueError:
@@ -74,40 +94,42 @@ def parse_schedule(value: float | str) -> LambdaSchedule:
         raise ValueError(
             f"bad lambda {value!r}: want V, constant:V or linear:START:END:STEPS"
         )
-    return LambdaSchedule.constant(*args) if len(args) == 1 else LambdaSchedule.linear(*args)
+    return LambdaSchedule(*args)
 
 
-def _lambda_arg(text: str) -> float | str:
-    """``--lambda``: a bare number stays a number, anything else is a schedule."""
-    try:
-        return float(text)
-    except ValueError:
-        return text
+def _config_value(path: str, name: str, value: object) -> object:
+    """A config-file value checked against its setting's type; floats are stored as float."""
+    kind, default = SETTINGS[name]
+    accepted, want = _CONFIG_TYPES[kind]
+    if value is None and default is None:
+        return value
+    if isinstance(value, accepted) and not isinstance(value, bool):
+        try:
+            return float(value) if kind is float else value
+        except OverflowError:
+            pass
+    raise ValueError(f"{path}: config key {name!r} must be {want}, got {json.dumps(value)}")
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """Overlay defaults <- config file <- environment <- explicit flags."""
-    resolved = dict(DEFAULTS)
+    resolved = {name: default for name, (_, default) in SETTINGS.items()}
     config_path = getattr(args, "config", None)
     if config_path:
         loaded = json.loads(Path(config_path).read_text("utf-8"))
         if not isinstance(loaded, dict):
             raise ValueError(f"{config_path}: config must be a JSON object")
-        for key in loaded:
-            if key not in DEFAULTS and key not in SIDECAR_KEYS:
+        for key, value in loaded.items():
+            if key in SETTINGS:
+                resolved[key] = _config_value(config_path, key, value)
+            elif key not in SIDECAR_KEYS:
                 raise ValueError(f"{config_path}: unknown config key {key!r}")
-        resolved.update((k, v) for k, v in loaded.items() if k in DEFAULTS)
     if os.environ.get(ENDPOINT_ENV):
         resolved["endpoint"] = os.environ[ENDPOINT_ENV]
-    for key in DEFAULTS:
-        attr = "lambda_" if key == "lambda" else key
-        flag = getattr(args, attr, None)
+    for key in (*SETTINGS, "dataset", "out"):
+        flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
-    for key in ("dataset", "out"):
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
     return resolved
 
 
@@ -156,9 +178,7 @@ def _export_signals(
     if not groups:
         path.write_text("", "utf-8")
         return None
-    j, signals = objective(
-        groups, ObjectiveConfig(float(resolved["epsilon"]), float(resolved["beta"]))
-    )
+    j, signals = objective(groups, ObjectiveConfig(resolved["epsilon"], resolved["beta"]))
     write_training_signals(path, query_ids, signals)
     return j
 
@@ -166,13 +186,13 @@ def _export_signals(
 def cmd_rollout(args: argparse.Namespace) -> int:
     resolved = resolve_config(args)
     config = RolloutConfig(
-        k=int(resolved["k"]),
+        k=resolved["k"],
         lambda_schedule=parse_schedule(resolved["lambda"]),
-        base_seed=int(resolved["seed"]),
-        parallelism=int(resolved["parallel"]),
-        temperature=float(resolved["temperature"]),
-        max_tokens=int(resolved["max_tokens"]),
-        retries=int(resolved["retries"]),
+        base_seed=resolved["seed"],
+        parallelism=resolved["parallel"],
+        temperature=resolved["temperature"],
+        max_tokens=resolved["max_tokens"],
+        retries=resolved["retries"],
     )
     queries = ds.load_jsonl(resolved["dataset"])
     backend = make_backend(
@@ -191,7 +211,7 @@ def cmd_rollout(args: argparse.Namespace) -> int:
         [_objective_group(g.totals(), [p.logprobs for p in g.pairs]) for g in groups],
         resolved,
     )
-    _write_sidecar(out_dir, "rollout", {**resolved, "config": config.to_dict()})
+    _write_sidecar(out_dir, "rollout", resolved)
 
     pairs = [p for g in groups for p in g.pairs]
     if pairs:
@@ -271,6 +291,12 @@ def _field(record: object, name: str, path: str, lineno: int):
     raise MissingField(name, lineno, path)
 
 
+def _check(ok: bool, message: str, path: str, lineno: int | None) -> None:
+    """Fail with the file and line of the input being read unless ``ok``."""
+    if not ok:
+        raise ParseError(message, lineno, path)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     instances = {q.id: q for q in ds.load_jsonl(args.dataset)}
     pairs: list[tuple[str, list[str]]] = []
@@ -279,8 +305,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if qid not in instances:
             raise ParseError(f"unknown prediction id {qid!r}", lineno, args.predictions)
         prediction = _field(record, "prediction", args.predictions, lineno)
-        if not isinstance(prediction, str):
-            raise ParseError("field 'prediction' must be a string", lineno, args.predictions)
+        _check(isinstance(prediction, str), "field 'prediction' must be a string",
+               args.predictions, lineno)
         pairs.append((prediction, list(instances[qid].golds)))
     summary = ev.evaluate(pairs)
     name = Path(args.dataset).stem
@@ -288,21 +314,35 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+_MATCHERS = [m.value for m in Matcher]
+
+
 def _corpus_instances(path: str) -> list[SyntheticInstance]:
+    """Density instances from a corpus file; every text must have a token."""
     instances = []
     for lineno, record in ds.read_records(path):
         raw = _field(record, "raw_docs", path, lineno)
-        if isinstance(raw, list):
+        if ds.is_string_list(raw):
             raw = "\n".join(raw)
-        cands = tuple(
-            StructureCandidate(
-                _field(c, "label", path, lineno), _field(c, "body", path, lineno)
-            )
-            for c in record.get("candidates", [])
-        )
-        matcher = Matcher(record.get("matcher", "normalized_containment"))
-        facts = tuple(_field(record, "facts", path, lineno))
-        instances.append(SyntheticInstance(raw, cands, FactSet(facts, matcher)))
+        _check(isinstance(raw, str), "field 'raw_docs' must be a string or a list of strings",
+               path, lineno)
+        _check(bool(norm_tokens(raw)), "field 'raw_docs' has no tokens", path, lineno)
+        listed = record.get("candidates", [])
+        _check(isinstance(listed, list), "field 'candidates' must be a list", path, lineno)
+        cands = []
+        for c in listed:
+            label, body = _field(c, "label", path, lineno), _field(c, "body", path, lineno)
+            _check(isinstance(label, str) and bool(label),
+                   "candidate 'label' must be a non-empty string", path, lineno)
+            _check(isinstance(body, str) and bool(norm_tokens(body)),
+                   "candidate 'body' must be a string with a token", path, lineno)
+            cands.append(StructureCandidate(label, body))
+        matcher = record.get("matcher", Matcher.NORMALIZED_CONTAINMENT.value)
+        _check(matcher in _MATCHERS, f"field 'matcher' must be one of {_MATCHERS}", path, lineno)
+        facts = _field(record, "facts", path, lineno)
+        _check(ds.is_string_list(facts), "field 'facts' must be a list of strings", path, lineno)
+        facts_set = FactSet(tuple(facts), Matcher(matcher))
+        instances.append(SyntheticInstance(raw, tuple(cands), facts_set))
     return instances
 
 
@@ -329,7 +369,11 @@ def cmd_density(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     docs: list[str] = []
     if args.docs:
-        docs = json.loads(Path(args.docs).read_text("utf-8"))
+        try:
+            docs = json.loads(Path(args.docs).read_text("utf-8"))
+        except json.JSONDecodeError:
+            docs = None
+        _check(ds.is_string_list(docs), "docs must be a JSON list of strings", args.docs, None)
     doc_index = DocIndex(docs)
     strict_hit = False
     for lineno, record in ds.read_records(args.trajectories):
@@ -337,6 +381,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             raw = record
         else:
             raw = _field(record, "raw", args.trajectories, lineno)
+        _check(isinstance(raw, str), "field 'raw' must be a string", args.trajectories, lineno)
         report = validate(parse_trajectory(raw), doc_index)
         if report.rules() & STRICT_RULES:
             strict_hit = True
@@ -373,30 +418,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rollout", help="two-stage rollout over a dataset")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--backend", choices=["mock", "http"], default=None)
-    p.add_argument("--endpoint", default=None)
-    p.add_argument("--fixtures", default=None)
-    p.add_argument("--model", default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument(
-        "--lambda", dest="lambda_", type=_lambda_arg, default=None,
-        metavar="V|constant:V|linear:START:END:STEPS",
-    )
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--parallel", type=int, default=None)
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--max-tokens", dest="max_tokens", type=int, default=None)
-    p.add_argument("--retries", type=int, default=None)
+    # one flag per setting, of its type; a flag not given stays None
+    for name, (kind, _) in SETTINGS.items():
+        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_rollout)
 
     p = sub.add_parser("score-export", help="recompute training signals from rollouts")
     p.add_argument("--rollouts", required=True)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
+    for name in ("epsilon", "beta"):
+        p.add_argument(f"--{name}", type=SETTINGS[name][0])
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score_export)

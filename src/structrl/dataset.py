@@ -20,6 +20,11 @@ from .errors import MissingField, ParseError
 REQUIRED_FIELDS = ("id", "question", "docs", "golden_answers")
 
 
+def is_string_list(value: object) -> bool:
+    """Whether a decoded JSON value is a list of strings."""
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 @dataclass(frozen=True)
 class QueryInstance:
     id: str
@@ -44,7 +49,7 @@ class QueryInstance:
             raise ParseError("field 'question' must be a string", line, path)
         for name in ("docs", "golden_answers"):
             value = d[name]
-            if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
+            if not is_string_list(value):
                 raise ParseError(f"field {name!r} must be a list of strings", line, path)
             # a query without documents or gold answers cannot be rolled out or scored
             if not value:
@@ -127,23 +132,36 @@ def convert_record(
     Accepts records already in the package schema unchanged. Raw records use
     `_id`, `answer` (single text), and `context` as [title, [sentence, ...]]
     pairs; each pair becomes one doc: the title, a newline, and the sentences
-    concatenated. Errors name `path` and `line` when given.
+    concatenated. Both shapes are checked by `QueryInstance.from_dict`.
+    Errors name `path` and `line` when given.
     """
     if not isinstance(record, dict):
         raise ParseError("record is not a JSON object", line, path)
-    if all(name in record for name in REQUIRED_FIELDS):
-        return QueryInstance.from_dict(record, line, path)
-    for name in ("_id", "question", "answer", "context"):
-        if name not in record:
-            raise MissingField(name, line, path)
-    docs = tuple(
-        f"{title}\n{''.join(sentences)}" for title, sentences in record["context"]
-    )
-    return QueryInstance(
-        id=str(record["_id"]),
-        question=record["question"],
-        docs=docs,
-        golds=(record["answer"],),
+    if not all(name in record for name in REQUIRED_FIELDS):
+        for name in ("_id", "question", "answer", "context"):
+            if name not in record:
+                raise MissingField(name, line, path)
+        context = record["context"]
+        if not (isinstance(context, list) and all(_is_context_pair(c) for c in context)):
+            raise ParseError(
+                "field 'context' must be a list of [title, [sentence, ...]] pairs", line, path
+            )
+        record = {
+            "id": record["_id"],
+            "question": record["question"],
+            "docs": [f"{title}\n{''.join(sentences)}" for title, sentences in context],
+            "golden_answers": [record["answer"]],
+        }
+    return QueryInstance.from_dict(record, line, path)
+
+
+def _is_context_pair(pair: object) -> bool:
+    """Whether ``pair`` is [title, [sentence, ...]] with text throughout."""
+    return (
+        isinstance(pair, list)
+        and len(pair) == 2
+        and isinstance(pair[0], str)
+        and is_string_list(pair[1])
     )
 
 

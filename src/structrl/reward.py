@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 
 from ._textnorm import normalize_text, norm_tokens
 from .trajectory import Trajectory
@@ -83,53 +82,34 @@ def combined_reward(direct: float, reinf: float, lambda_: float) -> RewardBreakd
     return RewardBreakdown(direct, reinf, lambda_, direct + lambda_ * reinf)
 
 
-class ScheduleKind(str, Enum):
-    CONSTANT = "constant"
-    LINEAR = "linear"
-
-
 @dataclass(frozen=True)
 class LambdaSchedule:
-    """Mixing weight over training steps: constant, or linear ramp then hold."""
+    """Mixing weight over training steps: a linear ramp from ``start`` at step
+    0 to ``end`` at step ``steps``, held after that. A constant V is (V, V, 1)."""
 
-    kind: ScheduleKind = ScheduleKind.CONSTANT
-    value: float = 0.2
-    start: float = 0.0
-    end: float = 0.2
-    steps: int = 0
+    start: float
+    end: float
+    steps: int
 
     def __post_init__(self) -> None:
-        if self.kind is ScheduleKind.CONSTANT:
-            if self.value < 0:
-                raise ValueError(f"lambda must be non-negative, got {self.value}")
-        elif self.steps <= 0:
+        if self.steps < 1:
             raise ValueError("linear schedule needs steps >= 1")
-        elif self.start < 0 or self.end < 0:
-            raise ValueError("lambda endpoints must be non-negative")
+        if min(self.start, self.end) < 0:
+            raise ValueError(f"lambda must be non-negative, got {min(self.start, self.end)}")
 
     @classmethod
     def constant(cls, value: float) -> "LambdaSchedule":
-        return cls(kind=ScheduleKind.CONSTANT, value=value)
+        return cls(value, value, 1)
 
     @classmethod
     def linear(cls, start: float, end: float, steps: int) -> "LambdaSchedule":
-        return cls(kind=ScheduleKind.LINEAR, start=start, end=end, steps=steps)
-
-    def to_dict(self) -> dict:
-        if self.kind is ScheduleKind.CONSTANT:
-            return {"kind": self.kind.value, "value": self.value}
-        return {
-            "kind": self.kind.value,
-            "start": self.start,
-            "end": self.end,
-            "steps": self.steps,
-        }
+        return cls(start, end, steps)
 
 
 def lambda_at(schedule: LambdaSchedule, step: int) -> float:
-    """Weight at a step index; linear schedules clamp past their horizon."""
-    if schedule.kind is ScheduleKind.CONSTANT:
-        return schedule.value
+    """Weight at a step index; past ``steps`` the schedule holds at ``end``."""
+    if schedule.start == schedule.end:
+        return schedule.start
     return schedule.start + (schedule.end - schedule.start) * min(
         step, schedule.steps
     ) / schedule.steps

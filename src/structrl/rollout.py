@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import Executor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -56,7 +56,7 @@ def derive_seed(query_id: str, sample_index: int, base_seed: int) -> int:
 @dataclass(frozen=True)
 class RolloutConfig:
     k: int = 8
-    lambda_schedule: LambdaSchedule = field(default_factory=LambdaSchedule)
+    lambda_schedule: LambdaSchedule = LambdaSchedule.constant(0.2)
     base_seed: int = 0
     parallelism: int = 1
     temperature: float = 1.0
@@ -68,17 +68,6 @@ class RolloutConfig:
             raise ValueError("k must be >= 1")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "lambda_schedule": self.lambda_schedule.to_dict(),
-            "base_seed": self.base_seed,
-            "parallelism": self.parallelism,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-            "retries": self.retries,
-        }
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ stdout/stderr are observable without subprocesses.
 """
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -12,13 +13,18 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from structrl import cli
 from structrl.backends import prompt_digest
-from structrl.cli import DEFAULTS, build_parser, main, parse_schedule, resolve_config
+from structrl.cli import SETTINGS, build_parser, main, parse_schedule, resolve_config
 from structrl.prompting import build_main_prompt
-from structrl.reward import ScheduleKind
-from structrl.rollout import derive_seed, read_rollout_jsonl
+from structrl.grpo import ObjectiveConfig
+from structrl.reward import LambdaSchedule
+from structrl.rollout import RolloutConfig, derive_seed, read_rollout_jsonl
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 QUESTION = (
     "Which film has the director born later, The Girl In Possession "
@@ -81,16 +87,10 @@ def run_rollout_cli(tmp_path, dataset, fixtures, out_name, extra=()):
 
 class TestParseSchedule:
     def test_constant(self):
-        schedule = parse_schedule("constant:0.3")
-        assert schedule.kind is ScheduleKind.CONSTANT
-        assert schedule.value == 0.3
+        assert parse_schedule("constant:0.3") == LambdaSchedule(0.3, 0.3, 1)
 
     def test_linear(self):
-        schedule = parse_schedule("linear:0:0.2:100")
-        assert schedule.kind is ScheduleKind.LINEAR
-        assert schedule.start == 0.0
-        assert schedule.end == 0.2
-        assert schedule.steps == 100
+        assert parse_schedule("linear:0:0.2:100") == LambdaSchedule(0.0, 0.2, 100)
 
     @pytest.mark.parametrize("value", [0.3, "0.3"], ids=["number", "string"])
     def test_bare_number_is_constant(self, value):
@@ -116,8 +116,8 @@ class TestResolveConfig:
 
     def test_defaults_apply(self):
         resolved = resolve_config(self.parse(self.base_argv()))
-        assert resolved["k"] == DEFAULTS["k"]
-        assert resolved["lambda"] == DEFAULTS["lambda"]
+        assert resolved["k"] == SETTINGS["k"][1]
+        assert resolved["lambda"] == SETTINGS["lambda"][1]
         assert resolved["backend"] == "mock"
 
     def test_config_file_overrides_defaults(self, tmp_path):
@@ -148,6 +148,51 @@ class TestResolveConfig:
     def test_lambda_flag_maps_to_lambda_key(self):
         resolved = resolve_config(self.parse(self.base_argv(**{"--lambda": "0.4"})))
         assert resolved["lambda"] == 0.4
+
+    def test_integer_for_a_float_setting_resolves_as_a_float(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"temperature": 1, "lambda": 1}), "utf-8")
+        resolved = resolve_config(self.parse(self.base_argv(**{"--config": str(cfg)})))
+        assert type(resolved["temperature"]) is float and resolved["temperature"] == 1.0
+        assert type(resolved["lambda"]) is int
+
+    @staticmethod
+    def has_type(name, value):
+        """Whether ``value`` has the type of setting ``name`` in SETTINGS."""
+        kind, default = SETTINGS[name]
+        if value is None or isinstance(value, bool):
+            return value is None and default is None
+        if kind in (int, float, str):
+            return isinstance(value, kind)
+        return isinstance(value, (int, float, str))  # lambda: a number or a schedule
+
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        name=st.sampled_from(sorted(SETTINGS)),
+        value=st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+            max_leaves=6,
+        ),
+    )
+    def test_config_value_resolves_typed_or_fails_naming_the_file(
+        self, tmp_path, monkeypatch, name, value
+    ):
+        """Only resolve_config runs, so no drawn K or parallelism starts a thread."""
+        monkeypatch.delenv("STRUCTRL_ENDPOINT", raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: value}), "utf-8")
+        args = self.parse(self.base_argv(**{"--config": str(cfg)}))
+        try:
+            resolved = resolve_config(args)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{cfg}: config key {name!r} ")
+            assert not self.has_type(name, value)
+            return
+        assert all(self.has_type(key, resolved[key]) for key in SETTINGS)
+        want = float(value) if SETTINGS[name][0] is float else value
+        assert resolved[name] == want or want != want  # NaN equals nothing
 
 
 class TestRolloutCommand:
@@ -193,23 +238,25 @@ class TestRolloutCommand:
             tmp_path, dataset, fixtures, "out", extra=["--seed", "9"]
         )
         recorded = json.loads((out_dir / "resolved_config.json").read_text("utf-8"))
-        assert list(recorded) == [
-            "command", "backend", "endpoint", "fixtures", "model", "k", "lambda",
-            "epsilon", "beta", "seed", "parallel", "temperature", "max_tokens",
-            "retries", "dataset", "out", "config",
-        ]
-        assert recorded["command"] == "rollout"
-        assert recorded["seed"] == 9
-        assert recorded["k"] == 2
-        assert recorded["config"] == {
+        assert recorded == {
+            "command": "rollout",
+            "backend": "mock",
+            "endpoint": None,
+            "fixtures": str(fixtures),
+            "model": "default",
             "k": 2,
-            "lambda_schedule": {"kind": "constant", "value": 0.2},
-            "base_seed": 9,
-            "parallelism": 1,
+            "lambda": 0.2,
+            "epsilon": 0.2,
+            "beta": 0.001,
+            "seed": 9,
+            "parallel": 1,
             "temperature": 1.0,
             "max_tokens": 1024,
             "retries": 2,
+            "dataset": str(dataset),
+            "out": str(out_dir),
         }
+        assert list(recorded) == ["command", *SETTINGS, "dataset", "out"]
 
     def test_resolved_config_passed_back_reproduces_the_run(
         self, tmp_path, golden_trace, golden_docs, golden_golds
@@ -254,9 +301,8 @@ class TestRolloutCommand:
         assert [(r["step"], r["lambda"]) for r in records] == [(0, 0.0), (1, 0.1)]
         recorded = json.loads((out_dir / "resolved_config.json").read_text("utf-8"))
         assert recorded["lambda"] == "linear:0:0.2:2"
-        assert recorded["config"]["lambda_schedule"] == {
-            "kind": "linear", "start": 0.0, "end": 0.2, "steps": 2
-        }
+        assert "config" not in recorded
+        assert parse_schedule(recorded["lambda"]) == LambdaSchedule(0.0, 0.2, 2)
 
     @pytest.mark.parametrize("key", ["lambda_schedule", "format"])
     def test_unknown_config_key_exits_nonzero(
@@ -325,8 +371,9 @@ class TestRolloutCommand:
     @pytest.mark.parametrize(
         "value, message",
         [("-0.5", "lambda must be non-negative, got -0.5"),
-         ("linear:0:0.2:0", "linear schedule needs steps >= 1")],
-        ids=["negative", "zero-steps"],
+         ("linear:0:0.2:0", "linear schedule needs steps >= 1"),
+         ("linear:0:-0.2:4", "lambda must be non-negative, got -0.2")],
+        ids=["negative", "zero-steps", "negative-linear-end"],
     )
     def test_lambda_out_of_range_keeps_its_message(
         self, tmp_path, capsys, monkeypatch, golden_trace, golden_docs, golden_golds,
@@ -341,6 +388,48 @@ class TestRolloutCommand:
         )
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"k": None}, "config key 'k' must be an integer, got null"),
+            ({"k": 2.7}, "config key 'k' must be an integer, got 2.7"),
+            ({"k": True}, "config key 'k' must be an integer, got true"),
+            ({"k": "3"}, 'config key \'k\' must be an integer, got "3"'),
+            ({"parallel": [2]}, "config key 'parallel' must be an integer, got [2]"),
+            ({"endpoint": 5}, "config key 'endpoint' must be a string, got 5"),
+        ],
+        ids=["k-null", "k-float", "k-bool", "k-string", "parallel-list", "endpoint-number"],
+    )
+    def test_config_value_of_the_wrong_type_exits_before_any_output(
+        self, tmp_path, capsys, monkeypatch, golden_trace, golden_docs, golden_golds,
+        config, message,
+    ):
+        dataset, fixtures = write_fixtures(tmp_path, golden_trace, golden_docs, golden_golds)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), "utf-8")
+        monkeypatch.setattr(cli, "make_backend", lambda *a, **kw: pytest.fail("backend built"))
+        out_dir = tmp_path / "out"
+        code = main(
+            ["rollout", "--dataset", str(dataset), "--fixtures", str(fixtures),
+             "--config", str(cfg), "--out", str(out_dir)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert not out_dir.exists()
+
+    def test_unknown_backend_exits_1_before_any_output(
+        self, tmp_path, capsys, golden_trace, golden_docs, golden_golds
+    ):
+        dataset, fixtures = write_fixtures(tmp_path, golden_trace, golden_docs, golden_golds)
+        out_dir = tmp_path / "out"
+        code = main(
+            ["rollout", "--dataset", str(dataset), "--fixtures", str(fixtures),
+             "--backend", "x", "--out", str(out_dir)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown backend kind 'x'\n"
         assert not out_dir.exists()
 
     def rollout_with_bad_field(
@@ -616,6 +705,22 @@ class TestValidateCommand:
         line = json.loads(capsys.readouterr().out.splitlines()[0])
         assert "NoAnswer" in [v["rule_id"] for v in line["violations"]]
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"doc one": 1}', '["doc one", 5]', '"doc one"', "[not json"],
+        ids=["object", "number-item", "string", "invalid-json"],
+    )
+    def test_docs_that_are_not_a_list_of_strings_name_the_file(self, tmp_path, capsys, text):
+        trajectories = tmp_path / "traces.jsonl"
+        trajectories.write_text(json.dumps("<answer>x</answer>") + "\n", "utf-8")
+        docs = tmp_path / "docs.json"
+        docs.write_text(text, "utf-8")
+        code = main(["validate", "--trajectories", str(trajectories), "--docs", str(docs)])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: {docs}: docs must be a JSON list of strings\n"
+        )
+
     def test_accepts_raw_object_lines(self, tmp_path, capsys):
         trajectories = tmp_path / "traces.jsonl"
         record = {"raw": "<think>t</think><answer> Oslo </answer>"}
@@ -649,6 +754,52 @@ def test_record_missing_field_names_file_and_line(
     assert capsys.readouterr().err == f"error: {records} line 2: missing field '{field}'\n"
 
 
+CORPUS_RECORD = {
+    "facts": ["f q"],
+    "raw_docs": "pad pad pad f q",
+    "candidates": [{"label": "Table", "body": "f q"}],
+}
+RAW_RECORD = {"_id": "a", "question": "?", "answer": "x", "context": [["T", ["s"]]]}
+
+
+@pytest.mark.parametrize(
+    "command, flag, good, bad, message",
+    [
+        ("validate", "--trajectories", {"raw": "<answer>x</answer>"}, {"raw": 5},
+         "field 'raw' must be a string"),
+        ("density", "--corpus", CORPUS_RECORD, {**CORPUS_RECORD, "facts": "f q"},
+         "field 'facts' must be a list of strings"),
+        ("density", "--corpus", CORPUS_RECORD, {**CORPUS_RECORD, "matcher": "fuzzy"},
+         "field 'matcher' must be one of ['normalized_containment', 'token_subset']"),
+        ("density", "--corpus", CORPUS_RECORD,
+         {**CORPUS_RECORD, "candidates": [{"label": "Table", "body": ""}]},
+         "candidate 'body' must be a string with a token"),
+        ("density", "--corpus", CORPUS_RECORD, {**CORPUS_RECORD, "raw_docs": ""},
+         "field 'raw_docs' has no tokens"),
+        ("density", "--corpus", CORPUS_RECORD, {**CORPUS_RECORD, "raw_docs": []},
+         "field 'raw_docs' has no tokens"),
+        ("convert-dataset", "--src", RAW_RECORD, {**RAW_RECORD, "answer": 5},
+         "field 'golden_answers' must be a list of strings"),
+        ("convert-dataset", "--src", RAW_RECORD, {**RAW_RECORD, "context": [["T", "s", "x"]]},
+         "field 'context' must be a list of [title, [sentence, ...]] pairs"),
+        ("convert-dataset", "--src", RAW_RECORD, {**RAW_RECORD, "context": [["T", ["s", 5]]]},
+         "field 'context' must be a list of [title, [sentence, ...]] pairs"),
+    ],
+    ids=[
+        "validate-raw-number", "density-facts-string", "density-unknown-matcher",
+        "density-empty-body", "density-empty-raw", "density-no-raw-docs",
+        "convert-answer-number", "convert-context-triple", "convert-context-number-sentence",
+    ],
+)
+def test_record_of_the_wrong_shape_names_file_and_line(
+    tmp_path, capsys, command, flag, good, bad, message
+):
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", "utf-8")
+    assert main(reader_argv(tmp_path, command, flag, records)) == 1
+    assert capsys.readouterr().err == f"error: {records} line 2: {message}\n"
+
+
 def reader_argv(tmp_path, command, flag, records):
     """Arguments that run a JSONL-reading subcommand on ``records``."""
     argv = [command, flag, str(records)]
@@ -662,6 +813,8 @@ def reader_argv(tmp_path, command, flag, records):
         argv += ["--dataset", str(dataset)]
     elif command == "score-export":
         argv += ["--out", str(tmp_path / "signals.jsonl")]
+    elif command == "convert-dataset":
+        argv += ["--out", str(tmp_path / "converted.jsonl")]
     return argv
 
 
@@ -763,3 +916,27 @@ def test_importing_the_cli_leaves_requests_unloaded():
         check=True,
     )
     assert run.stdout == "[]\n"
+
+
+def test_readme_rollout_synopsis_names_the_flags_of_the_settings():
+    text = README.read_text("utf-8")
+    synopsis = text[text.index("structrl rollout --dataset") :]
+    synopsis = synopsis[: synopsis.index("```")]
+    flags = re.findall(r"--[a-z][a-z-]*", synopsis)
+    assert len(flags) == len(set(flags))
+    assert set(flags) - {"--dataset", "--out", "--config"} == {
+        f"--{name.replace('_', '-')}" for name in SETTINGS
+    }
+
+
+def test_library_defaults_are_the_settings_defaults():
+    """RolloutConfig and ObjectiveConfig keep keyword defaults for callers of
+    the library; they must be the ones a bare ``structrl rollout`` uses."""
+    config, objective = RolloutConfig(), ObjectiveConfig()
+    names = ("k", "seed", "parallel", "temperature", "max_tokens", "retries")
+    assert (
+        config.k, config.base_seed, config.parallelism,
+        config.temperature, config.max_tokens, config.retries,
+    ) == tuple(SETTINGS[name][1] for name in names)
+    assert config.lambda_schedule == parse_schedule(SETTINGS["lambda"][1])
+    assert (objective.epsilon, objective.beta) == (SETTINGS["epsilon"][1], SETTINGS["beta"][1])
