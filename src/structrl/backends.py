@@ -12,7 +12,6 @@ import http.client
 import json
 import os
 import ssl
-import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +20,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
+from .dataset import is_finite_number
 from .errors import BackendError
 from .grpo import TokenLogProbs
 
@@ -252,8 +252,7 @@ class HTTPBackend:
         if not isinstance(token_lps, list):
             raise self._malformed("token_logprobs", token_lps, "a list")
         for i, x in enumerate(token_lps):
-            # type(), not isinstance(): a JSON true is not a number here
-            if type(x) not in (int, float) or not abs(x) <= sys.float_info.max:
+            if not is_finite_number(x):
                 raise self._malformed(f"token_logprobs[{i}]", x, "a finite number")
         vec = tuple(map(float, token_lps))
         return Generation(text, TokenLogProbs(vec, vec, vec) if vec else None)

@@ -30,7 +30,7 @@ from ._textnorm import norm_tokens
 from .backends import ENDPOINT_ENV, make_backend
 from .errors import MissingField, ParseError, StructRLError
 from .grpo import ObjectiveConfig, RewardGroup, TokenLogProbs, objective, write_training_signals
-from .reward import LambdaSchedule
+from .reward import LambdaSchedule, check_lambda
 from .rollout import RolloutConfig, read_rollout_jsonl, rescore_records, run_rollouts, write_rollout_jsonl
 from .trajectory import DocIndex, Rule, parse_trajectory, validate
 
@@ -116,7 +116,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     resolved = {name: default for name, (_, default) in SETTINGS.items()}
     config_path = getattr(args, "config", None)
     if config_path:
-        loaded = json.loads(Path(config_path).read_text("utf-8"))
+        loaded = ds.parse_json(Path(config_path).read_text("utf-8"), config_path)
         if not isinstance(loaded, dict):
             raise ValueError(f"{config_path}: config must be a JSON object")
         for key, value in loaded.items():
@@ -146,40 +146,28 @@ def _write_sidecar(out_dir: Path, command: str, resolved: dict) -> None:
 _NO_LOGPROBS = TokenLogProbs((), (), ())
 
 
-def _objective_group(
-    totals: tuple[float, ...], logprobs: list[TokenLogProbs | None]
-) -> tuple[RewardGroup, list[TokenLogProbs]]:
-    """One group's objective input; a pair without log-probs gets empty vectors."""
-    return RewardGroup(totals), [
-        _NO_LOGPROBS if lp is None else lp for lp in logprobs
-    ]
-
-
 def _record_group(record: dict) -> tuple[RewardGroup, list[TokenLogProbs]]:
-    """Objective input from a stored rollout record."""
+    """Objective input from a group record; a pair without log-probs gets empty vectors."""
     logprobs = []
     for pair in record["pairs"]:
         lp = pair.get("logprobs")
         logprobs.append(
             TokenLogProbs(tuple(lp["policy"]), tuple(lp["reference"]), tuple(lp["behavior"]))
             if lp
-            else None
+            else _NO_LOGPROBS
         )
-    return _objective_group(tuple(p["breakdown"]["total"] for p in record["pairs"]), logprobs)
+    return RewardGroup(tuple(p["breakdown"]["total"] for p in record["pairs"])), logprobs
 
 
-def _export_signals(
-    path: Path,
-    query_ids: list[str],
-    groups: list[tuple[RewardGroup, list[TokenLogProbs]]],
-    resolved: dict,
-) -> float | None:
-    """Write training signals; return the objective, or None for no groups."""
-    if not groups:
+def _export_signals(path: Path, records: list[dict], resolved: dict) -> float | None:
+    """The one path from group records to training signals, for ``rollout`` and
+    ``score-export`` alike; returns the objective, or None for no records."""
+    if not records:
         path.write_text("", "utf-8")
         return None
+    groups = [_record_group(r) for r in records]
     j, signals = objective(groups, ObjectiveConfig(resolved["epsilon"], resolved["beta"]))
-    write_training_signals(path, query_ids, signals)
+    write_training_signals(path, [r["query"]["id"] for r in records], signals)
     return j
 
 
@@ -203,23 +191,20 @@ def cmd_rollout(args: argparse.Namespace) -> int:
     )
     out_dir = Path(resolved["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    groups = list(run_rollouts(queries, config, backend))
-    write_rollout_jsonl(out_dir / "rollouts.jsonl", groups)
-    _export_signals(
-        out_dir / "training_signals.jsonl",
-        [g.query.id for g in groups],
-        [_objective_group(g.totals(), [p.logprobs for p in g.pairs]) for g in groups],
-        resolved,
-    )
+    records = [g.to_dict() for g in run_rollouts(queries, config, backend)]
+    write_rollout_jsonl(out_dir / "rollouts.jsonl", records)
+    _export_signals(out_dir / "training_signals.jsonl", records, resolved)
     _write_sidecar(out_dir, "rollout", resolved)
 
-    pairs = [p for g in groups for p in g.pairs]
+    pairs = [p for r in records for p in r["pairs"]]
     if pairs:
-        mean_total = sum(p.breakdown.total for p in pairs) / len(pairs)
-        with_formats = sum(1 for p in pairs if p.primary.has_formats()) / len(pairs)
-        self_contained = sum(1 for p in pairs if p.breakdown.reinf == 1.0) / len(pairs)
+        mean_total = sum(p["breakdown"]["total"] for p in pairs) / len(pairs)
+        with_formats = sum(
+            1 for p in pairs if any(b["kind"] == "format" for b in p["primary"]["blocks"])
+        ) / len(pairs)
+        self_contained = sum(1 for p in pairs if p["breakdown"]["reinf"] == 1.0) / len(pairs)
         print(
-            f"groups={len(groups)} samples={len(pairs)} "
+            f"groups={len(records)} samples={len(pairs)} "
             f"mean_reward={mean_total:.4f} "
             f"with_formats={100 * with_formats:.1f}% "
             f"self_contained={100 * self_contained:.1f}%"
@@ -232,12 +217,7 @@ def cmd_rollout(args: argparse.Namespace) -> int:
 def cmd_score_export(args: argparse.Namespace) -> int:
     resolved = resolve_config(args)
     records = read_rollout_jsonl(args.rollouts)
-    j = _export_signals(
-        Path(args.out),
-        [r["query"]["id"] for r in records],
-        [_record_group(r) for r in records],
-        resolved,
-    )
+    j = _export_signals(Path(args.out), records, resolved)
     if j is None:
         print("objective=n/a groups=0")
     else:
@@ -246,8 +226,10 @@ def cmd_score_export(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_lambda(args: argparse.Namespace) -> int:
-    records = read_rollout_jsonl(args.rollouts)
     values = [float(v) for v in args.values.split(",")]
+    for lam in values:
+        check_lambda(lam)
+    records = read_rollout_jsonl(args.rollouts)
     rows = []
     for lam in values:
         rescored = rescore_records(records, lam)

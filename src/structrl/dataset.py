@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -23,6 +24,11 @@ REQUIRED_FIELDS = ("id", "question", "docs", "golden_answers")
 def is_string_list(value: object) -> bool:
     """Whether a decoded JSON value is a list of strings."""
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def is_finite_number(value: object) -> bool:
+    """Whether a decoded JSON value is a finite number; a JSON true is not one."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -68,6 +74,15 @@ def _open_text(path: Path, mode: str = "rt") -> IO[str]:
     return open(path, mode, encoding="utf-8")
 
 
+def parse_json(text: str, path: object, line: int | None = None) -> object:
+    """Decode JSON text read from ``path``; invalid JSON fails naming the file
+    and ``line``, or the line of the error within ``text`` when not given."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line or exc.lineno, path) from exc
+
+
 def read_records(path: str | Path) -> Iterator[tuple[int, object]]:
     """Each non-blank line of a JSONL file, parsed, with its 1-based number.
 
@@ -76,13 +91,8 @@ def read_records(path: str | Path) -> Iterator[tuple[int, object]]:
     """
     with _open_text(Path(path)) as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", lineno, path) from exc
-            yield lineno, record
+            if line.strip():
+                yield lineno, parse_json(line, path, lineno)
 
 
 def load_jsonl(path: str | Path) -> list[QueryInstance]:
@@ -168,14 +178,15 @@ def _is_context_pair(pair: object) -> bool:
 def convert_file(src: str | Path, dst: str | Path) -> int:
     """Convert a raw JSON array or JSONL file; returns the instance count.
 
-    Errors in a JSONL source name the file and line; in a JSON array, the file.
+    Errors in a JSONL source name the file and line; in a JSON array, the
+    file, and for invalid JSON also the line.
     """
     src = Path(src)
     with _open_text(src) as fh:
         is_array = fh.read(1) == "["
         if is_array:
             fh.seek(0)
-            array = json.load(fh)
+            array = parse_json(fh.read(), src)
     records = [(None, record) for record in array] if is_array else read_records(src)
     seen: set[str] = set()
     instances = []

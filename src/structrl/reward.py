@@ -7,6 +7,7 @@ structuring is never free.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -76,9 +77,16 @@ class RewardBreakdown:
         }
 
 
+def check_lambda(value: float) -> None:
+    """Reject a mixing weight that is not finite or is negative."""
+    if not math.isfinite(value):
+        raise ValueError(f"lambda must be finite, got {value}")
+    if value < 0:
+        raise ValueError(f"lambda must be non-negative, got {value}")
+
+
 def combined_reward(direct: float, reinf: float, lambda_: float) -> RewardBreakdown:
-    if lambda_ < 0:
-        raise ValueError(f"lambda must be non-negative, got {lambda_}")
+    check_lambda(lambda_)
     return RewardBreakdown(direct, reinf, lambda_, direct + lambda_ * reinf)
 
 
@@ -94,8 +102,9 @@ class LambdaSchedule:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValueError("linear schedule needs steps >= 1")
-        if min(self.start, self.end) < 0:
-            raise ValueError(f"lambda must be non-negative, got {min(self.start, self.end)}")
+        # lowest first, so a schedule below zero reports its minimum
+        for value in sorted((self.start, self.end)):
+            check_lambda(value)
 
     @classmethod
     def constant(cls, value: float) -> "LambdaSchedule":

@@ -19,15 +19,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import count, repeat
+from operator import sub
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .backends import Generation, GenerationBackend, SamplingParams
-from .dataset import QueryInstance, read_records
-from .errors import BackendError
+from .dataset import QueryInstance, is_finite_number, read_records
+from .errors import BackendError, ParseError
 from .grpo import AdvantageSet, RewardGroup, TokenLogProbs, group_advantages
 from .prompting import build_main_prompt, build_reinference_prompt
 from .reward import (
@@ -115,9 +117,6 @@ class RolloutGroup:
     advantages: AdvantageSet
     lambda_: float
     step: int
-
-    def totals(self) -> tuple[float, ...]:
-        return tuple(p.breakdown.total for p in self.pairs)
 
     def to_dict(self) -> dict:
         return {
@@ -258,19 +257,82 @@ def run_rollouts(
         )
 
 
-def write_rollout_jsonl(path: str | Path, groups: Iterable[RolloutGroup]) -> int:
-    """One group per line; returns the group count."""
+def write_rollout_jsonl(path: str | Path, records: Iterable[dict]) -> int:
+    """One group record (``RolloutGroup.to_dict()``) per line; returns the count."""
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for group in groups:
-            fh.write(json.dumps(group.to_dict(), ensure_ascii=False) + "\n")
+        for record in records:
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
             n += 1
     return n
 
 
 def read_rollout_jsonl(path: str | Path) -> list[dict]:
-    """Raw group records; re-scoring tools work on the dict form."""
-    return [record for _, record in read_records(path)]
+    """Group records, each checked to hold what scoring reads.
+
+    Every line is decoded before any record is checked. A record that cannot
+    be scored fails with a ``ParseError`` naming the file and its line, so
+    the scoring code can trust every record returned.
+    """
+    numbered = list(read_records(path))
+    for lineno, record in numbered:
+        problem = _record_problem(record)
+        if problem:
+            raise ParseError(problem, lineno, path)
+    return [record for _, record in numbered]
+
+
+# a larger per-token gap between two roles' log-probs could make exp() in the
+# objective overflow, or round an importance ratio to zero
+_MAX_LOG_GAP = 700.0
+
+
+def _logprobs_ok(lp: object) -> bool:
+    """null, or three equal-length lists of numbers whose per-token gaps are bounded."""
+    if lp is None:
+        return True
+    if not isinstance(lp, dict):
+        return False
+    policy, reference, behavior = vectors = [lp.get(r) for r in ("policy", "reference", "behavior")]
+    if not (all(isinstance(v, list) for v in vectors) and len(set(map(len, vectors))) == 1):
+        return False
+    try:
+        gaps = [*map(sub, policy, behavior), *map(sub, reference, policy)]
+        # a finite sum rules out the NaN and infinities that min() and max() mishandle
+        return not gaps or (
+            math.isfinite(sum(gaps)) and -_MAX_LOG_GAP <= min(gaps) and max(gaps) <= _MAX_LOG_GAP
+        )
+    except (TypeError, OverflowError):
+        return False
+
+
+def _record_problem(record: object) -> str | None:
+    """What keeps a stored group record from being scored, or None."""
+    if not isinstance(record, dict):
+        return "record is not a JSON object"
+    query = record.get("query")
+    if not (isinstance(query, dict) and isinstance(query.get("id"), str)):
+        return "field 'query.id' must be a string"
+    pairs = record.get("pairs")
+    if not (isinstance(pairs, list) and pairs and all(isinstance(p, dict) for p in pairs)):
+        return "field 'pairs' must be a non-empty list of objects"
+    for i, pair in enumerate(pairs):
+        breakdown = pair.get("breakdown")
+        if not isinstance(breakdown, dict):
+            return f"field 'pairs[{i}].breakdown' must be an object"
+        # direct and reinf are match scores; bounding them keeps every
+        # re-scored total finite at any finite lambda
+        for name in ("direct", "reinf"):
+            if not (is_finite_number(breakdown.get(name)) and 0 <= breakdown[name] <= 1):
+                return f"field 'pairs[{i}].breakdown.{name}' must be a number in [0, 1]"
+        if not is_finite_number(breakdown.get("total")):
+            return f"field 'pairs[{i}].breakdown.total' must be a finite number"
+        if not _logprobs_ok(pair.get("logprobs")):
+            return (
+                f"field 'pairs[{i}].logprobs' must be null or lists 'policy', 'reference' "
+                f"and 'behavior' of one length, within {_MAX_LOG_GAP:g} of each other per token"
+            )
+    return None
 
 
 def rescore_records(records: list[dict], lambda_: float) -> list[dict]:

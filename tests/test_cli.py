@@ -3,7 +3,9 @@
 Every command is invoked in-process through main() so exit codes and
 stdout/stderr are observable without subprocesses.
 """
+import copy
 import json
+import math
 import os
 import re
 import subprocess
@@ -38,6 +40,14 @@ REINF_ANSWER = (
 )
 
 PLAIN_RESPONSE = "<think>easy</think>\n<answer> Rome </answer>"
+
+# any decoded JSON value, NaN and infinities included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 def write_fixtures(tmp_path, golden_trace, golden_docs, golden_golds):
@@ -169,12 +179,7 @@ class TestResolveConfig:
     @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         name=st.sampled_from(sorted(SETTINGS)),
-        value=st.recursive(
-            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-            lambda inner: st.lists(inner, max_size=3)
-            | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-            max_leaves=6,
-        ),
+        value=JSON_VALUES,
     )
     def test_config_value_resolves_typed_or_fails_naming_the_file(
         self, tmp_path, monkeypatch, name, value
@@ -372,8 +377,11 @@ class TestRolloutCommand:
         "value, message",
         [("-0.5", "lambda must be non-negative, got -0.5"),
          ("linear:0:0.2:0", "linear schedule needs steps >= 1"),
-         ("linear:0:-0.2:4", "lambda must be non-negative, got -0.2")],
-        ids=["negative", "zero-steps", "negative-linear-end"],
+         ("linear:0:-0.2:4", "lambda must be non-negative, got -0.2"),
+         ("nan", "lambda must be finite, got nan"),
+         ("inf", "lambda must be finite, got inf"),
+         ("linear:0:inf:4", "lambda must be finite, got inf")],
+        ids=["negative", "zero-steps", "negative-linear-end", "nan", "inf", "infinite-linear-end"],
     )
     def test_lambda_out_of_range_keeps_its_message(
         self, tmp_path, capsys, monkeypatch, golden_trace, golden_docs, golden_golds,
@@ -417,6 +425,24 @@ class TestRolloutCommand:
         )
         assert code == 1
         assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert not out_dir.exists()
+
+    def test_config_file_that_is_not_json_names_file_and_line(
+        self, tmp_path, capsys, monkeypatch, golden_trace, golden_docs, golden_golds
+    ):
+        dataset, fixtures = write_fixtures(tmp_path, golden_trace, golden_docs, golden_golds)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"k": 2\n "seed" 1}', "utf-8")
+        monkeypatch.setattr(cli, "make_backend", lambda *a, **kw: pytest.fail("backend built"))
+        out_dir = tmp_path / "out"
+        code = main(
+            ["rollout", "--dataset", str(dataset), "--fixtures", str(fixtures),
+             "--config", str(cfg), "--out", str(out_dir)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg} line 2: invalid JSON: Expecting ',' delimiter\n"
+        )
         assert not out_dir.exists()
 
     def test_unknown_backend_exits_1_before_any_output(
@@ -548,6 +574,16 @@ class TestSweepLambda:
         assert rows[0]["mean_total"] == rows[0]["mean_direct"]
         gap = rows[1]["mean_total"] - rows[1]["mean_direct"]
         assert gap == pytest.approx(0.2 * rows[1]["mean_reinf"], abs=1e-12)
+
+    def test_lambda_that_is_not_finite_fails_before_reading(self, tmp_path, capsys):
+        out_file = tmp_path / "sweep.txt"
+        code = main(
+            ["sweep-lambda", "--rollouts", str(tmp_path / "absent.jsonl"),
+             "--values", "0.2,nan", "--out", str(out_file)]
+        )
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: lambda must be finite, got nan\n")
+        assert not out_file.exists()
 
     def test_csv_format_and_out_file(
         self, tmp_path, capsys, golden_trace, golden_docs, golden_golds
@@ -760,6 +796,48 @@ CORPUS_RECORD = {
     "candidates": [{"label": "Table", "body": "f q"}],
 }
 RAW_RECORD = {"_id": "a", "question": "?", "answer": "x", "context": [["T", ["s"]]]}
+ROLLOUT_PAIR = {
+    "breakdown": {"direct": 1.0, "reinf": 0.0, "lambda": 0.2, "total": 1.0},
+    "logprobs": {"policy": [-0.5, -1.0], "reference": [-0.4, -1.1], "behavior": [-0.5, -0.9]},
+}
+ROLLOUT_RECORD = {
+    "query": {"id": "q1"},
+    "pairs": [ROLLOUT_PAIR, {**ROLLOUT_PAIR, "logprobs": None}],
+}
+# a stored rollout record that cannot be scored -> the message naming its fault
+BAD_ROLLOUT_RECORDS = {
+    "no-pairs": (
+        {"query": {"id": "q1"}}, "field 'pairs' must be a non-empty list of objects"
+    ),
+    "no-query": ({"pairs": [ROLLOUT_PAIR]}, "field 'query.id' must be a string"),
+    "array-line": ([ROLLOUT_RECORD], "record is not a JSON object"),
+    "string-direct": (
+        {**ROLLOUT_RECORD, "pairs": [
+            {**ROLLOUT_PAIR, "breakdown": {**ROLLOUT_PAIR["breakdown"], "direct": "1"}}
+        ]},
+        "field 'pairs[0].breakdown.direct' must be a number in [0, 1]",
+    ),
+    "reinf-above-one": (
+        {**ROLLOUT_RECORD, "pairs": [
+            {**ROLLOUT_PAIR, "breakdown": {**ROLLOUT_PAIR["breakdown"], "reinf": 1e308}}
+        ]},
+        "field 'pairs[0].breakdown.reinf' must be a number in [0, 1]",
+    ),
+    "unequal-logprobs": (
+        {**ROLLOUT_RECORD, "pairs": [
+            {**ROLLOUT_PAIR, "logprobs": {**ROLLOUT_PAIR["logprobs"], "behavior": [-0.5]}}
+        ]},
+        "field 'pairs[0].logprobs' must be null or lists 'policy', 'reference' "
+        "and 'behavior' of one length, within 700 of each other per token",
+    ),
+    "nan-total": (
+        {**ROLLOUT_RECORD, "pairs": [
+            ROLLOUT_PAIR,
+            {**ROLLOUT_PAIR, "breakdown": {**ROLLOUT_PAIR["breakdown"], "total": math.nan}},
+        ]},
+        "field 'pairs[1].breakdown.total' must be a finite number",
+    ),
+}
 
 
 @pytest.mark.parametrize(
@@ -784,11 +862,21 @@ RAW_RECORD = {"_id": "a", "question": "?", "answer": "x", "context": [["T", ["s"
          "field 'context' must be a list of [title, [sentence, ...]] pairs"),
         ("convert-dataset", "--src", RAW_RECORD, {**RAW_RECORD, "context": [["T", ["s", 5]]]},
          "field 'context' must be a list of [title, [sentence, ...]] pairs"),
+        *(
+            (command, "--rollouts", ROLLOUT_RECORD, bad, message)
+            for command in ("score-export", "sweep-lambda")
+            for bad, message in BAD_ROLLOUT_RECORDS.values()
+        ),
     ],
     ids=[
         "validate-raw-number", "density-facts-string", "density-unknown-matcher",
         "density-empty-body", "density-empty-raw", "density-no-raw-docs",
         "convert-answer-number", "convert-context-triple", "convert-context-number-sentence",
+        *(
+            f"{command}-{name}"
+            for command in ("score-export", "sweep-lambda")
+            for name in BAD_ROLLOUT_RECORDS
+        ),
     ],
 )
 def test_record_of_the_wrong_shape_names_file_and_line(
@@ -798,6 +886,50 @@ def test_record_of_the_wrong_shape_names_file_and_line(
     records.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", "utf-8")
     assert main(reader_argv(tmp_path, command, flag, records)) == 1
     assert capsys.readouterr().err == f"error: {records} line 2: {message}\n"
+
+
+# where a scoring path reads a stored rollout record: the line itself, then
+# each field that score-export or sweep-lambda reads
+ROLLOUT_FIELDS = [
+    (), ("query",), ("query", "id"), ("pairs",), ("pairs", 0), ("pairs", 0, "breakdown"),
+    *(("pairs", 0, "breakdown", name) for name in ("direct", "reinf", "total")),
+    ("pairs", 0, "logprobs"),
+    *(("pairs", 0, "logprobs", role) for role in ("policy", "reference", "behavior")),
+]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["score-export", "sweep-lambda"]),
+    where=st.sampled_from(ROLLOUT_FIELDS),
+    value=JSON_VALUES,
+)
+def test_any_value_in_a_stored_rollout_scores_or_names_file_and_line(
+    tmp_path, capsys, command, where, value
+):
+    """Whatever JSON value, NaN and infinities included, takes the place of
+    line 2 or of one field the scoring path reads, the command exits 0 or
+    prints one error naming the file and line 2; nothing else escapes."""
+    bad = copy.deepcopy(ROLLOUT_RECORD)
+    if where:
+        *parents, last = where
+        target = bad
+        for key in parents:
+            target = target[key]
+        target[last] = value
+    else:
+        bad = value
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps(ROLLOUT_RECORD) + "\n" + json.dumps(bad) + "\n", "utf-8")
+    capsys.readouterr()
+    code = main(reader_argv(tmp_path, command, "--rollouts", records))
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 1
+        assert re.fullmatch(f"error: {re.escape(str(records))} line 2: [^\n]+\n", err)
 
 
 def reader_argv(tmp_path, command, flag, records):
@@ -871,6 +1003,16 @@ class TestConvertAndSample:
         out = tmp_path / "converted.jsonl"
         assert main(["convert-dataset", "--src", str(src), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {where}: missing field 'answer'\n"
+
+    def test_json_array_that_is_not_json_names_file_and_line(self, tmp_path, capsys):
+        src = tmp_path / "raw.json"
+        src.write_text('[\n{"_id": "a",\n "question" "?"}]', "utf-8")
+        out = tmp_path / "converted.jsonl"
+        assert main(["convert-dataset", "--src", str(src), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {src} line 3: invalid JSON: Expecting ':' delimiter\n"
+        )
+        assert not out.exists()
 
     def dataset(self, tmp_path, n=10):
         path = tmp_path / "big.jsonl"

@@ -146,6 +146,13 @@ class TestCombinedReward:
         with pytest.raises(ValueError, match="lambda must be non-negative, got -0.1"):
             combined_reward(1.0, 1.0, -0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_lambda_that_is_not_finite_rejected(self, value):
+        with pytest.raises(ValueError, match=f"lambda must be finite, got {value}"):
+            combined_reward(1.0, 1.0, value)
+        with pytest.raises(ValueError, match=f"lambda must be finite, got {value}"):
+            LambdaSchedule.linear(0.0, value, 4)
+
     def test_json_field_names(self):
         d = combined_reward(1.0, 0.0, 0.2).to_dict()
         assert d == {"direct": 1.0, "reinf": 0.0, "lambda": 0.2, "total": 1.0}

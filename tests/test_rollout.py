@@ -100,7 +100,7 @@ class TestRolloutOne:
         (tmp_path / "rules.json").write_text(json.dumps(rules), "utf-8")
         query = QueryInstance("q", "capital?", ("some doc",), ("Rome",))
         group = rollout_one(query, 0, MockBackend(tmp_path), RolloutConfig(k=2))
-        assert group.totals() == (0.0, 0.0)
+        assert tuple(p.breakdown.total for p in group.pairs) == (0.0, 0.0)
 
     def test_backend_failure_flags_sample_keeps_group_size(self, tmp_path):
         query = QueryInstance("q", "capital?", ("some doc",), ("Rome",))
@@ -240,8 +240,10 @@ class TestRunRollouts:
     def test_jsonl_round_trip_count(self, tmp_path):
         backend = self._backend(tmp_path)
         groups = run_rollouts(self._dataset(), RolloutConfig(k=2), backend)
-        n = write_rollout_jsonl(tmp_path / "rollouts.jsonl", groups)
+        path = tmp_path / "rollouts.jsonl"
+        n = write_rollout_jsonl(path, [g.to_dict() for g in groups])
         assert n == 3
+        assert len(read_rollout_jsonl(path)) == 3
 
     def test_one_doc_index_per_query(
         self, tmp_path, monkeypatch, golden_trace, golden_docs, golden_golds
@@ -374,7 +376,7 @@ class TestRescore:
 
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "rollouts.jsonl"
-            write_rollout_jsonl(path, rollout_at(a))
+            write_rollout_jsonl(path, [g.to_dict() for g in rollout_at(a)])
             rescored = rescore_records(read_rollout_jsonl(path), b)
         rerun = [g.to_dict() for g in rollout_at(b)]
         assert json.dumps(rescored, ensure_ascii=False) == json.dumps(rerun, ensure_ascii=False)

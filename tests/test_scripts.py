@@ -3,6 +3,7 @@ import importlib.util
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+README = SCRIPTS.parent / "README.md"
 
 
 def load_script(name):
@@ -25,6 +26,15 @@ def test_mock_rollout_is_deterministic_and_prints_the_sweep(tmp_path, capsys):
     assert [line.split()[0] for line in lines[start + 1 : start + 5]] == [
         "0.000", "0.100", "0.200", "0.300"
     ]
+
+
+def test_readme_transcript_of_the_mock_rollout_is_its_output(tmp_path, capsys):
+    """The transcript opens with the summary line that `structrl rollout`
+    derives from the records it writes."""
+    text = README.read_text("utf-8")
+    transcript = text[text.index("With the defaults it prints:") :].split("```")[1]
+    assert load_script("run_mock_rollout").main(["--workdir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == transcript.lstrip("\n")
 
 
 def test_density_theory_passes_on_a_small_corpus(capsys):
