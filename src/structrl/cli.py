@@ -18,14 +18,7 @@ from pathlib import Path
 
 from . import dataset as ds
 from . import evaluation as ev
-from .density import (
-    FactSet,
-    Matcher,
-    StructureCandidate,
-    SyntheticInstance,
-    generate_synthetic,
-    run_corpus,
-)
+from .density import MATCHERS, generate_synthetic, run_corpus
 from ._textnorm import norm_tokens
 from .backends import ENDPOINT_ENV, make_backend
 from .errors import MissingField, ParseError, StructRLError
@@ -159,20 +152,21 @@ def _record_group(record: dict) -> tuple[RewardGroup, list[TokenLogProbs]]:
     return RewardGroup(tuple(p["breakdown"]["total"] for p in record["pairs"])), logprobs
 
 
-def _export_signals(path: Path, records: list[dict], resolved: dict) -> float | None:
+def _export_signals(path: Path, records: list[dict], config: ObjectiveConfig) -> float | None:
     """The one path from group records to training signals, for ``rollout`` and
     ``score-export`` alike; returns the objective, or None for no records."""
     if not records:
         path.write_text("", "utf-8")
         return None
     groups = [_record_group(r) for r in records]
-    j, signals = objective(groups, ObjectiveConfig(resolved["epsilon"], resolved["beta"]))
+    j, signals = objective(groups, config)
     write_training_signals(path, [r["query"]["id"] for r in records], signals)
     return j
 
 
 def cmd_rollout(args: argparse.Namespace) -> int:
     resolved = resolve_config(args)
+    objective_config = ObjectiveConfig(resolved["epsilon"], resolved["beta"])
     config = RolloutConfig(
         k=resolved["k"],
         lambda_schedule=parse_schedule(resolved["lambda"]),
@@ -193,7 +187,7 @@ def cmd_rollout(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     records = [g.to_dict() for g in run_rollouts(queries, config, backend)]
     write_rollout_jsonl(out_dir / "rollouts.jsonl", records)
-    _export_signals(out_dir / "training_signals.jsonl", records, resolved)
+    _export_signals(out_dir / "training_signals.jsonl", records, objective_config)
     _write_sidecar(out_dir, "rollout", resolved)
 
     pairs = [p for r in records for p in r["pairs"]]
@@ -216,8 +210,9 @@ def cmd_rollout(args: argparse.Namespace) -> int:
 
 def cmd_score_export(args: argparse.Namespace) -> int:
     resolved = resolve_config(args)
+    objective_config = ObjectiveConfig(resolved["epsilon"], resolved["beta"])
     records = read_rollout_jsonl(args.rollouts)
-    j = _export_signals(Path(args.out), records, resolved)
+    j = _export_signals(Path(args.out), records, objective_config)
     if j is None:
         print("objective=n/a groups=0")
     else:
@@ -225,10 +220,20 @@ def cmd_score_export(args: argparse.Namespace) -> int:
     return 0
 
 
+def _lambda_values(text: str) -> list[float]:
+    """``--values``: comma-separated lambdas, each a number that ``check_lambda`` accepts."""
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(float(item))
+        except ValueError:
+            raise ValueError(f"--values: bad lambda {item!r} in {text!r}") from None
+        check_lambda(values[-1])
+    return values
+
+
 def cmd_sweep_lambda(args: argparse.Namespace) -> int:
-    values = [float(v) for v in args.values.split(",")]
-    for lam in values:
-        check_lambda(lam)
+    values = _lambda_values(args.values)
     records = read_rollout_jsonl(args.rollouts)
     rows = []
     for lam in values:
@@ -296,11 +301,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-_MATCHERS = [m.value for m in Matcher]
-
-
-def _corpus_instances(path: str) -> list[SyntheticInstance]:
-    """Density instances from a corpus file; every text must have a token."""
+def _corpus_instances(path: str) -> list[dict]:
+    """Density instances from a corpus file, each its checked record with
+    ``raw_docs`` a string and every optional field filled in; every text and
+    every fact must have a token."""
     instances = []
     for lineno, record in ds.read_records(path):
         raw = _field(record, "raw_docs", path, lineno)
@@ -309,22 +313,25 @@ def _corpus_instances(path: str) -> list[SyntheticInstance]:
         _check(isinstance(raw, str), "field 'raw_docs' must be a string or a list of strings",
                path, lineno)
         _check(bool(norm_tokens(raw)), "field 'raw_docs' has no tokens", path, lineno)
-        listed = record.get("candidates", [])
-        _check(isinstance(listed, list), "field 'candidates' must be a list", path, lineno)
-        cands = []
-        for c in listed:
+        candidates = record.get("candidates", [])
+        _check(isinstance(candidates, list), "field 'candidates' must be a list", path, lineno)
+        for c in candidates:
             label, body = _field(c, "label", path, lineno), _field(c, "body", path, lineno)
             _check(isinstance(label, str) and bool(label),
                    "candidate 'label' must be a non-empty string", path, lineno)
             _check(isinstance(body, str) and bool(norm_tokens(body)),
                    "candidate 'body' must be a string with a token", path, lineno)
-            cands.append(StructureCandidate(label, body))
-        matcher = record.get("matcher", Matcher.NORMALIZED_CONTAINMENT.value)
-        _check(matcher in _MATCHERS, f"field 'matcher' must be one of {_MATCHERS}", path, lineno)
+        matcher = record.get("matcher", MATCHERS[0])
+        _check(matcher in MATCHERS, f"field 'matcher' must be one of {list(MATCHERS)}",
+               path, lineno)
         facts = _field(record, "facts", path, lineno)
         _check(ds.is_string_list(facts), "field 'facts' must be a list of strings", path, lineno)
-        facts_set = FactSet(tuple(facts), Matcher(matcher))
-        instances.append(SyntheticInstance(raw, tuple(cands), facts_set))
+        _check(bool(facts), "field 'facts' must not be empty", path, lineno)
+        for fact in facts:
+            _check(bool(norm_tokens(fact)), f"fact {fact!r} has no tokens", path, lineno)
+        instances.append(
+            {"raw_docs": raw, "candidates": candidates, "facts": facts, "matcher": matcher}
+        )
     return instances
 
 

@@ -124,6 +124,8 @@ def sample(instances: list[QueryInstance], n: int, seed: int) -> list[QueryInsta
     stream seeded with `seed`, swapping index i (descending from len-1) with
     j = integers(0, i+1); the first n entries of the shuffle are the sample.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if n > len(instances):
         raise ValueError(f"asked for {n} of {len(instances)} instances")
     arr = list(instances)

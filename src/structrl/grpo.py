@@ -49,6 +49,12 @@ class ObjectiveConfig:
     epsilon: float = 0.2
     beta: float = 0.001
 
+    def __post_init__(self) -> None:
+        # written so that NaN fails too
+        for name in ("epsilon", "beta"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+
 
 def _mean(xs: tuple[float, ...] | list[float]) -> float:
     # plain left-to-right sum: the documented deterministic order

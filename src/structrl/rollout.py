@@ -70,6 +70,13 @@ class RolloutConfig:
             raise ValueError("k must be >= 1")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
+        if self.parallelism < 1:
+            raise ValueError("parallel must be >= 1")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
+        # written so that NaN fails too
+        if not self.temperature >= 0:
+            raise ValueError("temperature must be >= 0")
 
 
 @dataclass(frozen=True)

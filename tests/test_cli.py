@@ -4,6 +4,7 @@ Every command is invoked in-process through main() so exit codes and
 stdout/stderr are observable without subprocesses.
 """
 import copy
+import hashlib
 import json
 import math
 import os
@@ -328,7 +329,12 @@ class TestRolloutCommand:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--k", "0", "k must be >= 1"), ("--retries", "-1", "retries must be >= 0")],
+        [("--k", "0", "k must be >= 1"), ("--retries", "-1", "retries must be >= 0"),
+         ("--parallel", "0", "parallel must be >= 1"),
+         ("--max-tokens", "-5", "max_tokens must be >= 1"),
+         ("--temperature", "-1", "temperature must be >= 0"),
+         ("--temperature", "nan", "temperature must be >= 0"),
+         ("--epsilon", "-1", "epsilon must be >= 0"), ("--beta", "-2", "beta must be >= 0")],
     )
     @pytest.mark.parametrize("parallel", ["1", "2"])
     def test_out_of_range_setting_exits_before_building_anything(
@@ -338,9 +344,32 @@ class TestRolloutCommand:
         dataset, fixtures = write_fixtures(tmp_path, golden_trace, golden_docs, golden_golds)
         monkeypatch.setattr(cli, "make_backend", lambda *a, **kw: pytest.fail("backend built"))
         out_dir = tmp_path / "out"
+        # the setting under test comes last, so it wins over --parallel
         code = main(
             ["rollout", "--dataset", str(dataset), "--fixtures", str(fixtures),
-             flag, value, "--parallel", parallel, "--out", str(out_dir)]
+             "--parallel", parallel, flag, value, "--out", str(out_dir)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("parallel", 0, "parallel must be >= 1"), ("max_tokens", 0, "max_tokens must be >= 1"),
+         ("temperature", -0.5, "temperature must be >= 0"), ("beta", -1, "beta must be >= 0")],
+    )
+    def test_out_of_range_setting_in_a_config_file_exits_before_building_anything(
+        self, tmp_path, capsys, monkeypatch, golden_trace, golden_docs, golden_golds,
+        key, value, message,
+    ):
+        dataset, fixtures = write_fixtures(tmp_path, golden_trace, golden_docs, golden_golds)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}), "utf-8")
+        monkeypatch.setattr(cli, "make_backend", lambda *a, **kw: pytest.fail("backend built"))
+        out_dir = tmp_path / "out"
+        code = main(
+            ["rollout", "--dataset", str(dataset), "--fixtures", str(fixtures),
+             "--config", str(cfg), "--out", str(out_dir)]
         )
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -539,6 +568,20 @@ class TestScoreExport:
         assert exported.read_bytes() == (out_dir / "training_signals.jsonl").read_bytes()
         assert "objective=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--epsilon", "-1", "epsilon must be >= 0"), ("--beta", "-2", "beta must be >= 0")],
+    )
+    def test_out_of_range_setting_fails_before_reading(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        out = tmp_path / "signals.jsonl"
+        code = main(["score-export", "--rollouts", str(tmp_path / "absent.jsonl"),
+                     flag, value, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_empty_rollout_file(self, tmp_path, capsys):
         empty = tmp_path / "rollouts.jsonl"
         empty.write_text("", "utf-8")
@@ -584,6 +627,16 @@ class TestSweepLambda:
         assert code == 1
         assert capsys.readouterr() == ("", "error: lambda must be finite, got nan\n")
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("values, item", [("0.1,,0.2", ""), ("0.1,x", "x"), ("", "")])
+    def test_value_that_is_not_a_number_names_the_flag(self, tmp_path, capsys, values, item):
+        code = main(
+            ["sweep-lambda", "--rollouts", str(tmp_path / "absent.jsonl"), "--values", values]
+        )
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: --values: bad lambda {item!r} in {values!r}\n"
+        )
 
     def test_csv_format_and_out_file(
         self, tmp_path, capsys, golden_trace, golden_docs, golden_golds
@@ -700,6 +753,23 @@ class TestDensityCommand:
         code = main(["density", "--corpus", str(corpus)])
         assert code == 0
         assert "pass=1" in capsys.readouterr().out
+
+    def test_synthetic_report_bytes_are_pinned(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(
+            ["density", "--synthetic", "--n", "50", "--seed", "7", "--out", str(out)]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "2d9bed83b9e19918dc53a8416a8d242879b578c73e57d39461224dbdd60d5c7a"
+        )
+
+    def test_negative_count_rejected(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(["density", "--synthetic", "--n", "-5", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: n must be >= 0\n")
+        assert not out.exists()
 
     def test_needs_source(self, capsys):
         code = main(["density"])
@@ -856,6 +926,10 @@ BAD_ROLLOUT_RECORDS = {
          "field 'raw_docs' has no tokens"),
         ("density", "--corpus", CORPUS_RECORD, {**CORPUS_RECORD, "raw_docs": []},
          "field 'raw_docs' has no tokens"),
+        ("density", "--corpus", CORPUS_RECORD, {**CORPUS_RECORD, "facts": []},
+         "field 'facts' must not be empty"),
+        ("density", "--corpus", CORPUS_RECORD, {**CORPUS_RECORD, "facts": ["f q", "the"]},
+         "fact 'the' has no tokens"),
         ("convert-dataset", "--src", RAW_RECORD, {**RAW_RECORD, "answer": 5},
          "field 'golden_answers' must be a list of strings"),
         ("convert-dataset", "--src", RAW_RECORD, {**RAW_RECORD, "context": [["T", "s", "x"]]},
@@ -871,6 +945,7 @@ BAD_ROLLOUT_RECORDS = {
     ids=[
         "validate-raw-number", "density-facts-string", "density-unknown-matcher",
         "density-empty-body", "density-empty-raw", "density-no-raw-docs",
+        "density-no-facts", "density-fact-without-tokens",
         "convert-answer-number", "convert-context-triple", "convert-context-number-sentence",
         *(
             f"{command}-{name}"
@@ -1035,6 +1110,15 @@ class TestConvertAndSample:
         assert out1.read_bytes() == out2.read_bytes()
         ids = [json.loads(l)["id"] for l in out1.read_text("utf-8").splitlines()]
         assert len(ids) == len(set(ids)) == 4
+
+    def test_sample_negative_count_errors(self, tmp_path, capsys):
+        dataset = self.dataset(tmp_path, n=3)
+        out = tmp_path / "s.jsonl"
+        code = main(["sample", "--dataset", str(dataset), "--n", "-1",
+                     "--seed", "0", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: n must be >= 0\n")
+        assert not out.exists()
 
     def test_sample_too_large_errors(self, tmp_path, capsys):
         dataset = self.dataset(tmp_path, n=3)

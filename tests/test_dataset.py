@@ -93,6 +93,10 @@ class TestSample:
         with pytest.raises(ValueError, match="asked for 4 of 3 instances"):
             sample(make_instances(3), 4, seed=0)
 
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            sample(make_instances(3), -1, seed=0)
+
     def test_pinned_stream_regression(self):
         # the shuffle algorithm is pinned; these ids must never change
         ids = [q.id for q in sample(make_instances(10), 3, seed=7)]

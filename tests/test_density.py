@@ -6,66 +6,67 @@ from hypothesis import strategies as st
 
 from structrl._textnorm import normalize_text
 from structrl.density import (
-    FactSet,
-    Matcher,
-    StructureCandidate,
+    MATCHERS,
     density,
     generate_synthetic,
     run_corpus,
     verify_ordering,
 )
 
-FACTS = FactSet(("monty banks 15 july 1897", "josé luis cuerda 18 february 1947"))
+FACTS = ["monty banks 15 july 1897", "josé luis cuerda 18 february 1947"]
+
+
+def instance(raw, candidates, facts, matcher=MATCHERS[0]):
+    """A corpus record; ``candidates`` are (label, body) pairs."""
+    return {
+        "raw_docs": raw,
+        "candidates": [{"label": label, "body": body} for label, body in candidates],
+        "facts": facts,
+        "matcher": matcher,
+    }
 
 
 class TestInfoContent:
     def test_verbatim_containment(self):
-        facts = FactSet(("alpha one", "beta two", "gamma three"))
+        facts = ["alpha one", "beta two", "gamma three"]
         text = "first alpha one. then beta two. finally gamma three."
-        assert density(text, facts).info == 3
+        assert density(text, facts)["info"] == 3
 
     def test_containment_requires_contiguity(self):
-        facts = FactSet(("alpha beta",))
-        assert density("alpha gap beta", facts).info == 0
+        assert density("alpha gap beta", ["alpha beta"])["info"] == 0
 
     def test_token_subset_ignores_order(self):
-        facts = FactSet(("alpha beta",), Matcher.TOKEN_SUBSET)
-        assert density("beta gap alpha", facts).info == 1
+        assert density("beta gap alpha", ["alpha beta"], "token_subset")["info"] == 1
 
     def test_case_study_table_under_token_subset(self, golden_trace):
         from structrl.trajectory import extract_formats, parse_trajectory
 
         table_body = extract_formats(parse_trajectory(golden_trace))[0][1]
-        facts = FactSet(
-            ("monty banks 15 july 1897", "josé luis cuerda 18 february 1947"),
-            Matcher.TOKEN_SUBSET,
-        )
-        assert density(table_body, facts).info == 2
+        assert density(table_body, FACTS, "token_subset")["info"] == 2
 
     def test_normalization_bridges_punctuation(self):
-        facts = FactSet(("monty banks 1897",))
-        assert density("Monty Banks, 1897!", facts).info == 1
+        assert density("Monty Banks, 1897!", ["monty banks 1897"])["info"] == 1
 
     @given(st.text(max_size=40), st.text(max_size=40))
     @settings(max_examples=50)
     def test_monotone_under_extension(self, text, suffix):
-        facts = FactSet(("alpha one", "beta two"))
+        facts = ["alpha one", "beta two"]
         # the leading token keeps either text from normalising to nothing
         longer = density("pad " + text + " " + suffix, facts)
-        assert longer.info >= density("pad " + text, facts).info
+        assert longer["info"] >= density("pad " + text, facts)["info"]
 
 
 class TestDensity:
     def test_division(self):
-        facts = FactSet(("f1 x", "f2 y", "f3 z"))
+        facts = ["f1 x", "f2 y", "f3 z"]
         text = " ".join(["pad"] * 91) + " f1 x f2 y f3 z"
         m = density(text, facts)
-        assert m.info == 3 and m.length == 97
-        assert m.rho == pytest.approx(3 / 97)
+        assert m["info"] == 3 and m["length"] == 97
+        assert m["rho"] == pytest.approx(3 / 97)
 
     def test_zero_matches(self):
         m = density("nothing relevant here", FACTS)
-        assert m.info == 0 and m.rho == 0.0
+        assert m["info"] == 0 and m["rho"] == 0.0
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError, match="density needs at least one token"):
@@ -74,18 +75,17 @@ class TestDensity:
             density("the a an", FACTS)  # normalizes to nothing
 
     def test_duplication_halves_density(self):
-        facts = FactSet(("alpha one",))
+        facts = ["alpha one"]
         text = "alpha one plus padding words"
         m1 = density(text, facts)
         m2 = density(text + " " + text, facts)
-        assert m2.rho == pytest.approx(m1.rho / 2)
+        assert m2["rho"] == pytest.approx(m1["rho"] / 2)
 
     def test_matched_facts_recorded(self):
-        facts = FactSet(("alpha one", "missing fact"))
-        m = density("alpha one here", facts)
-        assert m.matched_facts == ("alpha one",)
+        m = density("alpha one here", ["alpha one", "missing fact"])
+        assert m["matched_facts"] == ["alpha one"]
 
-    @pytest.mark.parametrize("matcher", list(Matcher))
+    @pytest.mark.parametrize("matcher", MATCHERS)
     def test_text_is_normalized_once(self, matcher, monkeypatch):
         seen = []
 
@@ -98,68 +98,61 @@ class TestDensity:
         for module in ("structrl._textnorm", "structrl.density"):
             monkeypatch.setattr(sys.modules[module], "normalize_text", counting)
         text = "Alpha one, beta two and the gamma three."
-        m = density(text, FactSet(("alpha one", "beta two", "delta four"), matcher))
-        assert m.matched_facts == ("alpha one", "beta two")
+        m = density(text, ["alpha one", "beta two", "delta four"], matcher)
+        assert m["matched_facts"] == ["alpha one", "beta two"]
         assert seen.count(text) == 1
 
 
 class TestVerifyOrdering:
     def test_constructed_pass(self):
-        facts = FactSet(("f1 q", "f2 w", "f3 e"))
+        facts = ["f1 q", "f2 w", "f3 e"]
         raw = " ".join(["pad"] * 114) + " f1 q f2 w f3 e"  # 120 tokens, rho 0.025
         table = "f1 q f2 w f3 e " + " ".join(["hdr"] * 18)  # 24 tokens, rho 0.125
         timeline = "f1 q f2 w f3 e " + " ".join(["t"] * 9)  # 15 tokens, rho 0.2
-        rep = verify_ordering(
-            raw,
-            [StructureCandidate("Table", table), StructureCandidate("timeline", timeline)],
-            facts,
-        )
-        assert rep.rho_raw == pytest.approx(0.025)
-        assert rep.max_predefined_rho == pytest.approx(0.125)
-        assert rep.max_overall_rho == pytest.approx(0.2)
-        assert rep.left_inequality and rep.right_inequality
-        assert rep.status == "pass"
+        rep = verify_ordering(instance(raw, [("Table", table), ("timeline", timeline)], facts))
+        assert rep["rho_raw"] == pytest.approx(0.025)
+        assert rep["max_predefined_rho"] == pytest.approx(0.125)
+        assert rep["max_overall_rho"] == pytest.approx(0.2)
+        assert rep["left_inequality"] and rep["right_inequality"]
+        assert rep["status"] == "pass"
 
     def test_lossy_structure_downgrades_to_premise_unmet(self):
-        facts = FactSet(("f1 q", "f2 w", "f3 e"))
+        facts = ["f1 q", "f2 w", "f3 e"]
         raw = " ".join(["pad"] * 20) + " f1 q f2 w f3 e"
         lossy = "f1 q " + " ".join(["hdr"] * 20)  # drops 2 of 3 facts, shrinks little
-        rep = verify_ordering(raw, [StructureCandidate("Table", lossy)], facts)
-        assert not rep.premise_info_preserved
-        assert rep.status == "premise_unmet"
+        rep = verify_ordering(instance(raw, [("Table", lossy)], facts))
+        assert not rep["premise_info_preserved"]
+        assert rep["status"] == "premise_unmet"
 
     def test_degenerate_candidate_fails_strict_inequality(self):
-        facts = FactSet(("f1 q",))
         raw = "f1 q " + " ".join(["pad"] * 10)
-        rep = verify_ordering(raw, [StructureCandidate("Table", raw)], facts)
-        assert not rep.premise_length_reduced
-        assert rep.status == "premise_unmet"
+        rep = verify_ordering(instance(raw, [("Table", raw)], ["f1 q"]))
+        assert not rep["premise_length_reduced"]
+        assert rep["status"] == "premise_unmet"
 
     def test_no_predefined_candidate_is_premise_unmet(self):
-        facts = FactSet(("f1 q",))
-        rep = verify_ordering("f1 q pad", [StructureCandidate("custom", "f1 q")], facts)
-        assert rep.status == "premise_unmet"
-        assert rep.max_predefined_rho is None
+        rep = verify_ordering(instance("f1 q pad", [("custom", "f1 q")], ["f1 q"]))
+        assert rep["status"] == "premise_unmet"
+        assert rep["max_predefined_rho"] is None
 
     def test_tie_on_rho_uses_the_first_predefined_for_the_premise(self):
-        facts = FactSet(("f1 q", "f2 w"))
+        facts = ["f1 q", "f2 w"]
         raw = " ".join(["pad"] * 20) + " f1 q f2 w"  # 2 facts in 24 tokens
-        lossy = StructureCandidate("Table", "f1 q pad pad")  # 1 fact in 4 tokens
-        whole = StructureCandidate("Chunk", "f1 q f2 w pad pad pad pad")  # 2 in 8
-        assert density(lossy.body, facts).rho == density(whole.body, facts).rho
-        rep = verify_ordering(raw, [lossy, whole], facts)
-        assert not rep.premise_info_preserved
-        assert rep.status == "premise_unmet"
-        rep = verify_ordering(raw, [whole, lossy], facts)
-        assert rep.premise_info_preserved and rep.premise_length_reduced
-        assert rep.status == "pass"
+        lossy = ("Table", "f1 q pad pad")  # 1 fact in 4 tokens
+        whole = ("Chunk", "f1 q f2 w pad pad pad pad")  # 2 in 8
+        assert density(lossy[1], facts)["rho"] == density(whole[1], facts)["rho"]
+        rep = verify_ordering(instance(raw, [lossy, whole], facts))
+        assert not rep["premise_info_preserved"]
+        assert rep["status"] == "premise_unmet"
+        rep = verify_ordering(instance(raw, [whole, lossy], facts))
+        assert rep["premise_info_preserved"] and rep["premise_length_reduced"]
+        assert rep["status"] == "pass"
 
     def test_inequality_failure_reported_not_raised(self):
-        facts = FactSet(("f1 q",))
         raw = "f1 q pad"  # rho 1/3
         sparse = "f1 q " + " ".join(["x"] * 8)  # shorter than raw? no: longer
-        rep = verify_ordering(raw, [StructureCandidate("Table", sparse)], facts)
-        assert rep.status in ("fail", "premise_unmet")
+        rep = verify_ordering(instance(raw, [("Table", sparse)], ["f1 q"]))
+        assert rep["status"] in ("fail", "premise_unmet")
 
 
 class TestSyntheticCorpus:

@@ -208,6 +208,13 @@ class TestObjective:
         )
         assert j1 == pytest.approx(j2, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "field, value", [("epsilon", -0.1), ("beta", -1.0), ("epsilon", math.nan), ("beta", math.nan)]
+    )
+    def test_config_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0$"):
+            ObjectiveConfig(**{field: value})
+
     def test_empty_groups_rejected(self):
         with pytest.raises(ValueError, match="objective needs at least one group"):
             objective([], ObjectiveConfig())

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -227,7 +228,10 @@ class TestRunRollouts:
     @pytest.mark.parametrize(
         "field, value, message",
         [("k", 0, "k must be >= 1"), ("k", -1, "k must be >= 1"),
-         ("retries", -1, "retries must be >= 0")],
+         ("retries", -1, "retries must be >= 0"), ("parallelism", 0, "parallel must be >= 1"),
+         ("max_tokens", 0, "max_tokens must be >= 1"),
+         ("temperature", -0.5, "temperature must be >= 0"),
+         ("temperature", math.nan, "temperature must be >= 0")],
     )
     def test_config_out_of_range_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
