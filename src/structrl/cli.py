@@ -22,7 +22,7 @@ from .density import MATCHERS, generate_synthetic, run_corpus
 from ._textnorm import norm_tokens
 from .backends import ENDPOINT_ENV, make_backend
 from .errors import MissingField, ParseError, StructRLError
-from .grpo import ObjectiveConfig, RewardGroup, TokenLogProbs, objective, write_training_signals
+from .grpo import ObjectiveConfig, objective, write_training_signals
 from .reward import LambdaSchedule, check_lambda
 from .rollout import RolloutConfig, read_rollout_jsonl, rescore_records, run_rollouts, write_rollout_jsonl
 from .trajectory import DocIndex, Rule, parse_trajectory, validate
@@ -136,31 +136,14 @@ def _write_sidecar(out_dir: Path, command: str, resolved: dict) -> None:
         fh.write(f"{stamp} {command}\n")
 
 
-_NO_LOGPROBS = TokenLogProbs((), (), ())
-
-
-def _record_group(record: dict) -> tuple[RewardGroup, list[TokenLogProbs]]:
-    """Objective input from a group record; a pair without log-probs gets empty vectors."""
-    logprobs = []
-    for pair in record["pairs"]:
-        lp = pair.get("logprobs")
-        logprobs.append(
-            TokenLogProbs(tuple(lp["policy"]), tuple(lp["reference"]), tuple(lp["behavior"]))
-            if lp
-            else _NO_LOGPROBS
-        )
-    return RewardGroup(tuple(p["breakdown"]["total"] for p in record["pairs"])), logprobs
-
-
 def _export_signals(path: Path, records: list[dict], config: ObjectiveConfig) -> float | None:
     """The one path from group records to training signals, for ``rollout`` and
     ``score-export`` alike; returns the objective, or None for no records."""
     if not records:
         path.write_text("", "utf-8")
         return None
-    groups = [_record_group(r) for r in records]
-    j, signals = objective(groups, config)
-    write_training_signals(path, [r["query"]["id"] for r in records], signals)
+    j, signals = objective(records, config)
+    write_training_signals(path, signals)
     return j
 
 

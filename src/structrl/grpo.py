@@ -1,9 +1,11 @@
 """Group-relative advantages, the clipped surrogate, and KL regularization.
 
 Everything here is scalar math over supplied log-probabilities; no weights
-live in this package. Per-sample components are exported as JSONL for an
-external trainer. Summations run in a fixed left-to-right order so results
-are bit-identical regardless of caller parallelism.
+live in this package. ``objective`` reads group records, the lines of
+``rollouts.jsonl``, and returns the ``training_signals.jsonl`` record of
+every sample for an external trainer. Summations run in a fixed
+left-to-right order so results are bit-identical regardless of caller
+parallelism.
 """
 from __future__ import annotations
 
@@ -11,17 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-
-
-@dataclass(frozen=True)
-class RewardGroup:
-    rewards: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.rewards:
-            raise ValueError("reward group needs at least one sample")
-        if not all(math.isfinite(r) for r in self.rewards):
-            raise ValueError("rewards must be finite")
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -50,13 +42,16 @@ class ObjectiveConfig:
     beta: float = 0.001
 
     def __post_init__(self) -> None:
-        # written so that NaN fails too
         for name in ("epsilon", "beta"):
-            if not getattr(self, name) >= 0:
+            value = getattr(self, name)
+            # written so that NaN fails too
+            if not value >= 0:
                 raise ValueError(f"{name} must be >= 0")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _mean(xs: tuple[float, ...] | list[float]) -> float:
+def _mean(xs: Sequence[float]) -> float:
     # plain left-to-right sum: the documented deterministic order
     total = 0.0
     for x in xs:
@@ -64,10 +59,14 @@ def _mean(xs: tuple[float, ...] | list[float]) -> float:
     return total / len(xs)
 
 
-def group_advantages(g: RewardGroup) -> AdvantageSet:
+def group_advantages(rewards: Sequence[float]) -> AdvantageSet:
     """Center rewards on the group mean; a singleton group gets [0]."""
-    mean = _mean(g.rewards)
-    return AdvantageSet(tuple(r - mean for r in g.rewards))
+    if not rewards:
+        raise ValueError("reward group needs at least one sample")
+    if not all(math.isfinite(r) for r in rewards):
+        raise ValueError("rewards must be finite")
+    mean = _mean(rewards)
+    return AdvantageSet(tuple(r - mean for r in rewards))
 
 
 def clipped_term(ratio: float, advantage: float, epsilon: float) -> float:
@@ -78,82 +77,62 @@ def clipped_term(ratio: float, advantage: float, epsilon: float) -> float:
     return min(ratio * advantage, clipped * advantage)
 
 
-def kl_term(t: TokenLogProbs) -> float:
+def kl_term(policy: Sequence[float], reference: Sequence[float]) -> float:
     """Mean per-token exp(r) - r - 1 with r = reference - policy; always >= 0."""
-    if not t.policy:
+    if not policy:
         return 0.0
     per_token = []
-    for p, ref in zip(t.policy, t.reference):
+    for p, ref in zip(policy, reference):
         r = ref - p
         per_token.append(math.exp(r) - r - 1.0)
     return _mean(per_token)
 
 
-def sequence_ratio(t: TokenLogProbs) -> float:
+def sequence_ratio(policy: Sequence[float], behavior: Sequence[float]) -> float:
     """exp of the mean per-token log-ratio policy - behavior; length-normalized by design."""
-    if not t.policy:
+    if not policy:
         return 1.0
-    return math.exp(_mean([p - b for p, b in zip(t.policy, t.behavior)]))
+    return math.exp(_mean([p - b for p, b in zip(policy, behavior)]))
 
 
-@dataclass(frozen=True)
-class SampleSignal:
-    """Per-sample training components, the export contract for a trainer."""
-
-    reward: float
-    advantage: float
-    ratio: float
-    clipped: float
-    kl: float
-
-    def to_dict(self) -> dict:
-        return {
-            "reward": self.reward,
-            "advantage": self.advantage,
-            "ratio": self.ratio,
-            "clipped_term": self.clipped,
-            "kl_term": self.kl,
-        }
+# a pair without log-probs (a failed sample) counts as no tokens
+_NO_TOKENS = {"policy": (), "reference": (), "behavior": ()}
 
 
 def objective(
-    groups: list[tuple[RewardGroup, list[TokenLogProbs]]],
-    cfg: ObjectiveConfig = ObjectiveConfig(),
-) -> tuple[float, list[list[SampleSignal]]]:
-    """Scalar objective J and per-sample components, grouped as the input.
+    records: Sequence[dict], cfg: ObjectiveConfig = ObjectiveConfig()
+) -> tuple[float, list[list[dict]]]:
+    """Scalar objective J and each sample's ``training_signals.jsonl`` record,
+    grouped as the input group records.
 
     J is the mean over all samples of clipped_term - beta * kl_term, with the
-    ratio computed at sequence level from length-normalized log-ratios.
+    ratio computed at sequence level from length-normalized log-ratios. The
+    reward is each pair's ``breakdown.total``.
     """
-    if not groups:
+    if not records:
         raise ValueError("objective needs at least one group")
-    signals: list[list[SampleSignal]] = []
+    signals: list[list[dict]] = []
     terms: list[float] = []
-    for rewards, logprobs in groups:
-        if len(rewards.rewards) != len(logprobs):
-            raise ValueError("one log-prob record per group sample required")
+    for record in records:
+        pairs = record["pairs"]
+        rewards = [p["breakdown"]["total"] for p in pairs]
         advantages = group_advantages(rewards).advantages
-        group_signals: list[SampleSignal] = []
-        for reward, adv, t in zip(rewards.rewards, advantages, logprobs):
-            ratio = sequence_ratio(t)
+        group = []
+        for i, (pair, reward, adv) in enumerate(zip(pairs, rewards, advantages)):
+            lp = pair.get("logprobs") or _NO_TOKENS
+            ratio = sequence_ratio(lp["policy"], lp["behavior"])
             surrogate = clipped_term(ratio, adv, cfg.epsilon)
-            kl = kl_term(t)
+            kl = kl_term(lp["policy"], lp["reference"])
             terms.append(surrogate - cfg.beta * kl)
-            group_signals.append(SampleSignal(reward, adv, ratio, surrogate, kl))
-        signals.append(group_signals)
+            group.append({"query_id": record["query"]["id"], "sample_index": i, "reward": reward,
+                          "advantage": adv, "ratio": ratio, "clipped_term": surrogate, "kl_term": kl})
+        signals.append(group)
     return _mean(terms), signals
 
 
-def write_training_signals(
-    path: str | Path,
-    query_ids: list[str],
-    signals: list[list[SampleSignal]],
-) -> None:
-    """One JSONL record per sample, keyed by query id and sample index."""
-    if len(query_ids) != len(signals):
-        raise ValueError("one query id per signal group required")
+def write_training_signals(path: str | Path, signals: list[list[dict]]) -> None:
+    """One JSONL line per sample record, in group and sample order."""
     with open(path, "w", encoding="utf-8") as fh:
-        for qid, group in zip(query_ids, signals):
-            for i, sig in enumerate(group):
-                record = {"query_id": qid, "sample_index": i, **sig.to_dict()}
+        for group in signals:
+            for record in group:
                 fh.write(json.dumps(record, ensure_ascii=False) + "\n")

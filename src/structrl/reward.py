@@ -106,14 +106,6 @@ class LambdaSchedule:
         for value in sorted((self.start, self.end)):
             check_lambda(value)
 
-    @classmethod
-    def constant(cls, value: float) -> "LambdaSchedule":
-        return cls(value, value, 1)
-
-    @classmethod
-    def linear(cls, start: float, end: float, steps: int) -> "LambdaSchedule":
-        return cls(start, end, steps)
-
 
 def lambda_at(schedule: LambdaSchedule, step: int) -> float:
     """Weight at a step index; past ``steps`` the schedule holds at ``end``."""

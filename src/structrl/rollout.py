@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 from .backends import Generation, GenerationBackend, SamplingParams
 from .dataset import QueryInstance, is_finite_number, read_records
 from .errors import BackendError, ParseError
-from .grpo import AdvantageSet, RewardGroup, TokenLogProbs, group_advantages
+from .grpo import AdvantageSet, TokenLogProbs, group_advantages
 from .prompting import build_main_prompt, build_reinference_prompt
 from .reward import (
     LambdaSchedule,
@@ -58,7 +58,7 @@ def derive_seed(query_id: str, sample_index: int, base_seed: int) -> int:
 @dataclass(frozen=True)
 class RolloutConfig:
     k: int = 8
-    lambda_schedule: LambdaSchedule = LambdaSchedule.constant(0.2)
+    lambda_schedule: LambdaSchedule = LambdaSchedule(0.2, 0.2, 1)
     base_seed: int = 0
     parallelism: int = 1
     temperature: float = 1.0
@@ -77,6 +77,8 @@ class RolloutConfig:
         # written so that NaN fails too
         if not self.temperature >= 0:
             raise ValueError("temperature must be >= 0")
+        if not math.isfinite(self.temperature):
+            raise ValueError(f"temperature must be finite, got {self.temperature}")
 
 
 @dataclass(frozen=True)
@@ -235,7 +237,7 @@ def rollout_one(
         return _rollout_sample(query, i, prompt, lambda_, backend, config, doc_index)
 
     pairs = tuple((map if pool is None else pool.map)(sample, range(config.k)))
-    advantages = group_advantages(RewardGroup(tuple(p.breakdown.total for p in pairs)))
+    advantages = group_advantages([p.breakdown.total for p in pairs])
     return RolloutGroup(query, pairs, advantages, lambda_, step)
 
 
@@ -361,7 +363,6 @@ def rescore_records(records: list[dict], lambda_: float) -> list[dict]:
             b = pair["breakdown"]
             breakdown = combined_reward(b["direct"], b["reinf"], lambda_)
             pairs.append({**pair, "breakdown": breakdown.to_dict()})
-        totals = tuple(p["breakdown"]["total"] for p in pairs)
-        advantages = list(group_advantages(RewardGroup(totals)).advantages)
+        advantages = list(group_advantages([p["breakdown"]["total"] for p in pairs]).advantages)
         out.append({**record, "lambda": lambda_, "pairs": pairs, "advantages": advantages})
     return out

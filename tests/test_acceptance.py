@@ -19,8 +19,6 @@ from structrl.dataset import QueryInstance, load_jsonl, sample, write_jsonl
 from structrl.density import generate_synthetic, run_corpus
 from structrl.grpo import (
     ObjectiveConfig,
-    RewardGroup,
-    TokenLogProbs,
     clipped_term,
     group_advantages,
     kl_term,
@@ -123,7 +121,7 @@ def test_criterion_3_reward_contract(tmp_path):
 
         queries, fixtures = _reward_contract_fixture(tmp_path)
         config = RolloutConfig(
-            k=1, lambda_schedule=LambdaSchedule.constant(0.2), base_seed=0
+            k=1, lambda_schedule=LambdaSchedule(0.2, 0.2, 1), base_seed=0
         )
         groups = list(run_rollouts(queries, config, MockBackend(fixtures)))
         pairs = [p for g in groups for p in g.pairs]
@@ -186,7 +184,7 @@ def test_criterion_4_grpo_math():
         for _ in range(1000):
             k = rng.randint(2, 8)
             rewards = tuple(rng.uniform(-2.0, 2.0) for _ in range(k))
-            advantages = group_advantages(RewardGroup(rewards)).advantages
+            advantages = group_advantages(rewards).advantages
             assert abs(sum(advantages)) <= 1e-12 * k
 
         def random_triple(n):
@@ -204,11 +202,18 @@ def test_criterion_4_grpo_math():
                 raw_groups.append((rewards, triples))
             epsilon = rng.choice([0.1, 0.2, 0.3])
             beta = rng.choice([0.0, 0.001, 0.01])
-            groups = [
-                (RewardGroup(rewards), [TokenLogProbs(*t) for t in triples])
-                for rewards, triples in raw_groups
+            records = [
+                {
+                    "query": {"id": f"g{i}"},
+                    "pairs": [
+                        {"breakdown": {"total": reward},
+                         "logprobs": dict(zip(("policy", "reference", "behavior"), triple))}
+                        for reward, triple in zip(rewards, triples)
+                    ],
+                }
+                for i, (rewards, triples) in enumerate(raw_groups)
             ]
-            got, _ = objective(groups, ObjectiveConfig(epsilon=epsilon, beta=beta))
+            got, _ = objective(records, ObjectiveConfig(epsilon=epsilon, beta=beta))
             want = _brute_force_objective(raw_groups, epsilon, beta)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -216,9 +221,9 @@ def test_criterion_4_grpo_math():
             n = rng.randint(1, 8)
             pol = tuple(-rng.uniform(0.01, 3.0) for _ in range(n))
             ref = tuple(p + rng.uniform(-0.5, 0.5) for p in pol)
-            assert kl_term(TokenLogProbs(pol, ref, pol)) >= 0.0
+            assert kl_term(pol, ref) >= 0.0
         identical = tuple(-rng.uniform(0.01, 3.0) for _ in range(16))
-        assert kl_term(TokenLogProbs(identical, identical, identical)) == 0.0
+        assert kl_term(identical, identical) == 0.0
 
         assert clipped_term(1.5, 1.0, 0.2) == 1.2
         assert clipped_term(0.5, -1.0, 0.2) == -0.8

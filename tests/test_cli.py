@@ -22,10 +22,11 @@ from hypothesis import strategies as st
 from structrl import cli
 from structrl.backends import prompt_digest
 from structrl.cli import SETTINGS, build_parser, main, parse_schedule, resolve_config
-from structrl.prompting import build_main_prompt
+from structrl.prompting import build_main_prompt, build_reinference_prompt
 from structrl.grpo import ObjectiveConfig
 from structrl.reward import LambdaSchedule
 from structrl.rollout import RolloutConfig, derive_seed, read_rollout_jsonl
+from structrl.trajectory import extract_formats, parse_trajectory
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -77,6 +78,48 @@ def write_fixtures(tmp_path, golden_trace, golden_docs, golden_golds):
         },
     ]
     dataset.write_text("\n".join(json.dumps(r) for r in records) + "\n", "utf-8")
+    return dataset, fixtures
+
+
+# (direct answer, answer re-inferred from a format block, or None for no
+# block) of each sample; a query's samples start one kind further along
+SAMPLE_KINDS = [("Rome", "Rome"), ("Rome", None), ("Milan", "Rome"), (None, None), ("Rome", "Milan")]
+
+
+def write_digest_fixtures(tmp_path):
+    """Three queries whose K=4 calls are answered by the fixture keyed on their
+    own prompt and sample seed, so the rewards of each group differ. The last
+    sample of the last query has no fixture, so its pair fails and carries
+    no log-probs."""
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    records = []
+    for q in range(3):
+        record = {"id": f"q{q}", "question": f"Where is landmark {q}?",
+                  "docs": [f"Landmark {q} stands in Rome.", "An unrelated note."],
+                  "golden_answers": ["Rome"]}
+        records.append(record)
+        prompt = build_main_prompt(record["question"], record["docs"])
+        for s in range(4):
+            if (q, s) == (2, 3):
+                continue
+            direct, structured = SAMPLE_KINDS[(q + s) % len(SAMPLE_KINDS)]
+            seed = derive_seed(record["id"], s, 0)
+            parts = [f"<think>sample {s}</think>"]
+            if structured is not None:
+                parts.append(f"<format: Table>\n| landmark {q} | city | {structured} |\n</format: Table>")
+            if direct is not None:
+                parts.append(f"<answer> {direct} </answer>")
+            text = "\n".join(parts)
+            (fixtures / f"{prompt_digest(prompt, seed)}.txt").write_text(text, "utf-8")
+            if structured is not None:
+                formats = extract_formats(parse_trajectory(text))
+                reinf_prompt = build_reinference_prompt(record["question"], formats)
+                (fixtures / f"{prompt_digest(reinf_prompt, seed)}.txt").write_text(
+                    f"<think>from the table</think>\n<answer> {structured} </answer>", "utf-8"
+                )
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
     return dataset, fixtures
 
 
@@ -334,7 +377,10 @@ class TestRolloutCommand:
          ("--max-tokens", "-5", "max_tokens must be >= 1"),
          ("--temperature", "-1", "temperature must be >= 0"),
          ("--temperature", "nan", "temperature must be >= 0"),
-         ("--epsilon", "-1", "epsilon must be >= 0"), ("--beta", "-2", "beta must be >= 0")],
+         ("--epsilon", "-1", "epsilon must be >= 0"), ("--beta", "-2", "beta must be >= 0"),
+         ("--temperature", "inf", "temperature must be finite, got inf"),
+         ("--epsilon", "inf", "epsilon must be finite, got inf"),
+         ("--beta", "inf", "beta must be finite, got inf")],
     )
     @pytest.mark.parametrize("parallel", ["1", "2"])
     def test_out_of_range_setting_exits_before_building_anything(
@@ -356,7 +402,10 @@ class TestRolloutCommand:
     @pytest.mark.parametrize(
         "key, value, message",
         [("parallel", 0, "parallel must be >= 1"), ("max_tokens", 0, "max_tokens must be >= 1"),
-         ("temperature", -0.5, "temperature must be >= 0"), ("beta", -1, "beta must be >= 0")],
+         ("temperature", -0.5, "temperature must be >= 0"), ("beta", -1, "beta must be >= 0"),
+         # json writes and reads an infinity as the bare word Infinity
+         ("temperature", math.inf, "temperature must be finite, got inf"),
+         ("epsilon", math.inf, "epsilon must be finite, got inf")],
     )
     def test_out_of_range_setting_in_a_config_file_exits_before_building_anything(
         self, tmp_path, capsys, monkeypatch, golden_trace, golden_docs, golden_golds,
@@ -570,7 +619,8 @@ class TestScoreExport:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--epsilon", "-1", "epsilon must be >= 0"), ("--beta", "-2", "beta must be >= 0")],
+        [("--epsilon", "-1", "epsilon must be >= 0"), ("--beta", "-2", "beta must be >= 0"),
+         ("--beta", "inf", "beta must be finite, got inf")],
     )
     def test_out_of_range_setting_fails_before_reading(
         self, tmp_path, capsys, flag, value, message
@@ -581,6 +631,36 @@ class TestScoreExport:
         assert code == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_signal_bytes_are_pinned(self, tmp_path, monkeypatch, parallel):
+        """The rollout's two artifacts and a clipping score-export, pinned across versions."""
+        write_digest_fixtures(tmp_path)
+        # the failed pair's message names the fixture directory as given
+        monkeypatch.chdir(tmp_path)
+        out_dir = run_rollout_cli(
+            tmp_path, Path("dataset.jsonl"), Path("fixtures"), "out",
+            extra=["--k", "4", "--parallel", parallel],
+        )
+        clipped = tmp_path / "clipped.jsonl"
+        code = main(["score-export", "--rollouts", str(out_dir / "rollouts.jsonl"),
+                     "--epsilon", "0.001", "--beta", "0.5", "--out", str(clipped)])
+        assert code == 0
+        signals = [json.loads(line) for line in clipped.read_text("utf-8").splitlines()]
+        # unequal rewards in every group, and clipping that fires, so the pins
+        # cover advantages, ratios and clipped terms
+        for qid in ("q0", "q1", "q2"):
+            assert len({s["reward"] for s in signals if s["query_id"] == qid}) > 1
+        assert any(s["clipped_term"] != s["ratio"] * s["advantage"] for s in signals)
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (out_dir / "rollouts.jsonl", out_dir / "training_signals.jsonl", clipped)
+        }
+        assert digests == {
+            "rollouts.jsonl": "1a47226ae0a5eb9e2778ef45d99c2793ebdd0a70d8a8a4b6566640886d82dc7e",
+            "training_signals.jsonl": "7da2dfa78856311fcdce343e9254844fa9a2b114c67429219194a7de7a4b7f91",
+            "clipped.jsonl": "207ae3adfedb4faeccdba47ee11b8a62383c2469d84ecc3e3cb1dfa0a6233c67",
+        }
 
     def test_empty_rollout_file(self, tmp_path, capsys):
         empty = tmp_path / "rollouts.jsonl"

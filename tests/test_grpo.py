@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from structrl.grpo import (
     ObjectiveConfig,
-    RewardGroup,
     TokenLogProbs,
     clipped_term,
     group_advantages,
@@ -15,6 +15,24 @@ from structrl.grpo import (
     objective,
     write_training_signals,
 )
+
+
+def group_record(rewards, logprobs, query_id="q"):
+    """A group record as ``rollouts.jsonl`` holds it, reduced to what scoring
+    reads; a logprobs entry of None is a pair without log-probs."""
+    return {
+        "query": {"id": query_id},
+        "pairs": [
+            {
+                "breakdown": {"total": reward},
+                "logprobs": (
+                    None if lp is None
+                    else {"policy": list(lp[0]), "reference": list(lp[1]), "behavior": list(lp[2])}
+                ),
+            }
+            for reward, lp in zip(rewards, logprobs)
+        ],
+    }
 
 
 def brute_force_objective(groups, epsilon, beta):
@@ -58,35 +76,41 @@ def random_logprobs(rng, n_tokens):
     return policy, reference, behavior
 
 
+SIGNAL_KEYS = ["query_id", "sample_index", "reward", "advantage", "ratio", "clipped_term", "kl_term"]
+
+
 class TestAdvantages:
     def test_hand_example(self):
-        adv = group_advantages(RewardGroup((1.2, 0.0, 1.0, 0.0))).advantages
+        adv = group_advantages((1.2, 0.0, 1.0, 0.0)).advantages
         assert adv == pytest.approx((0.65, -0.55, 0.45, -0.55))
 
     def test_equal_rewards_center_to_zero(self):
-        adv = group_advantages(RewardGroup((0.7, 0.7, 0.7))).advantages
+        adv = group_advantages((0.7, 0.7, 0.7)).advantages
         assert adv == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
         # dyadic rewards have an exact mean, so centering is exact too
-        assert group_advantages(RewardGroup((0.5, 0.5))).advantages == (0.0, 0.0)
+        assert group_advantages([0.5, 0.5]).advantages == (0.0, 0.0)
 
     def test_singleton_group(self):
-        assert group_advantages(RewardGroup((0.7,))).advantages == (0.0,)
+        assert group_advantages((0.7,)).advantages == (0.0,)
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError, match="reward group needs at least one sample"):
-            RewardGroup(())
+            group_advantages(())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_reward_that_is_not_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="rewards must be finite"):
+            group_advantages([1.0, value])
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=16))
     def test_sum_is_zero(self, rewards):
-        adv = group_advantages(RewardGroup(tuple(rewards))).advantages
+        adv = group_advantages(rewards).advantages
         assert abs(sum(adv)) <= 1e-12 * len(rewards)
 
     @given(st.lists(st.floats(-5, 5), min_size=1, max_size=8), st.floats(-5, 5))
     def test_reward_shift_invariance(self, rewards, shift):
-        base = group_advantages(RewardGroup(tuple(rewards))).advantages
-        shifted = group_advantages(
-            RewardGroup(tuple(r + shift for r in rewards))
-        ).advantages
+        base = group_advantages(rewards).advantages
+        shifted = group_advantages([r + shift for r in rewards]).advantages
         assert base == pytest.approx(shifted, abs=1e-9)
 
 
@@ -122,14 +146,13 @@ class TestClippedTerm:
 class TestKL:
     def test_identical_vectors_are_zero(self):
         vec = (-0.5, -1.2, -0.01)
-        assert kl_term(TokenLogProbs(vec, vec, vec)) == 0.0
+        assert kl_term(vec, vec) == 0.0
 
     def test_single_token_hand_value(self):
-        t = TokenLogProbs(policy=(-2.0,), reference=(-1.0,), behavior=(-2.0,))
-        assert kl_term(t) == pytest.approx(math.e - 2.0)
+        assert kl_term([-2.0], [-1.0]) == pytest.approx(math.e - 2.0)
 
     def test_empty_sequences_are_zero(self):
-        assert kl_term(TokenLogProbs((), (), ())) == 0.0
+        assert kl_term((), ()) == 0.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="must align token-for-token"):
@@ -137,53 +160,63 @@ class TestKL:
 
     @given(st.lists(st.tuples(st.floats(-8, 0), st.floats(-8, 0)), min_size=1, max_size=20))
     def test_non_negative(self, pairs):
-        policy = tuple(p for p, _ in pairs)
-        reference = tuple(r for _, r in pairs)
-        assert kl_term(TokenLogProbs(policy, reference, policy)) >= 0.0
+        policy = [p for p, _ in pairs]
+        reference = [r for _, r in pairs]
+        assert kl_term(policy, reference) >= 0.0
 
 
 class TestObjective:
     def test_identity_ratios_and_zero_beta(self):
         rng = np.random.default_rng(0)
-        groups = []
+        records = []
         for _ in range(3):
             k = int(rng.integers(2, 5))
-            rewards = RewardGroup(tuple(float(x) for x in rng.uniform(0, 1.2, k)))
+            rewards = [float(x) for x in rng.uniform(0, 1.2, k)]
             vec = random_logprobs(rng, 4)[0]
-            lps = [TokenLogProbs(vec, vec, vec) for _ in range(k)]
-            groups.append((rewards, lps))
-        j, signals = objective(groups, ObjectiveConfig(epsilon=0.2, beta=0.0))
+            records.append(group_record(rewards, [(vec, vec, vec)] * k))
+        j, signals = objective(records, ObjectiveConfig(epsilon=0.2, beta=0.0))
         assert j == pytest.approx(0.0, abs=1e-12)
         for group in signals:
             for sig in group:
-                assert sig.ratio == 1.0
-                assert sig.clipped == pytest.approx(sig.advantage)
+                assert sig["ratio"] == 1.0
+                assert sig["clipped_term"] == pytest.approx(sig["advantage"])
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
-            groups = []
+            records = []
             raw = []
             for _ in range(int(rng.integers(1, 4))):
                 k = int(rng.integers(1, 6))
                 rewards = tuple(float(x) for x in rng.uniform(0, 1.2, k))
                 lps = [random_logprobs(rng, int(rng.integers(1, 7))) for _ in range(k)]
-                groups.append(
-                    (RewardGroup(rewards), [TokenLogProbs(*lp) for lp in lps])
-                )
+                records.append(group_record(rewards, lps))
                 raw.append((rewards, lps))
             eps = float(rng.uniform(0.05, 0.5))
             beta = float(rng.uniform(0.0, 0.1))
-            j, _ = objective(groups, ObjectiveConfig(epsilon=eps, beta=beta))
+            j, _ = objective(records, ObjectiveConfig(epsilon=eps, beta=beta))
             expected = brute_force_objective(raw, eps, beta)
             assert j == pytest.approx(expected, rel=1e-9)
 
+    def test_pair_without_logprobs_counts_as_no_tokens(self):
+        rng = np.random.default_rng(5)
+        lp = random_logprobs(rng, 3)
+        record = group_record((1.0, 0.0, 0.5), [lp, None, lp])
+        # an absent key reads as null does
+        del record["pairs"][2]["logprobs"]
+        j, (group,) = objective([record], ObjectiveConfig(beta=0.1))
+        assert [(s["ratio"], s["kl_term"]) for s in group[1:]] == [(1.0, 0.0), (1.0, 0.0)]
+        empty = ((), (), ())
+        assert j == pytest.approx(
+            brute_force_objective([((1.0, 0.0, 0.5), [lp, empty, empty])], 0.2, 0.1), rel=1e-12
+        )
+
     def test_beta_monotonically_penalizes(self):
         rng = np.random.default_rng(7)
-        rewards = RewardGroup(tuple(float(x) for x in rng.uniform(0, 1, 4)))
-        lps = [TokenLogProbs(*random_logprobs(rng, 5)) for _ in range(4)]
+        rewards = [float(x) for x in rng.uniform(0, 1, 4)]
+        record = group_record(rewards, [random_logprobs(rng, 5) for _ in range(4)])
         values = [
-            objective([(rewards, lps)], ObjectiveConfig(beta=b))[0]
+            objective([record], ObjectiveConfig(beta=b))[0]
             for b in (0.0, 0.01, 0.1, 1.0)
         ]
         assert all(a >= b for a, b in zip(values, values[1:]))
@@ -193,68 +226,43 @@ class TestObjective:
         rewards = tuple(float(x) for x in rng.uniform(0, 1.2, 5))
         lps = [random_logprobs(rng, 4) for _ in range(5)]
         order = [3, 1, 4, 0, 2]
-        j1, _ = objective(
-            [(RewardGroup(rewards), [TokenLogProbs(*lp) for lp in lps])],
-            ObjectiveConfig(),
-        )
+        j1, _ = objective([group_record(rewards, lps)], ObjectiveConfig())
         j2, _ = objective(
-            [
-                (
-                    RewardGroup(tuple(rewards[i] for i in order)),
-                    [TokenLogProbs(*lps[i]) for i in order],
-                )
-            ],
+            [group_record([rewards[i] for i in order], [lps[i] for i in order])],
             ObjectiveConfig(),
         )
         assert j1 == pytest.approx(j2, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "field, value", [("epsilon", -0.1), ("beta", -1.0), ("epsilon", math.nan), ("beta", math.nan)]
+        "field, value",
+        [("epsilon", -0.1), ("beta", -1.0), ("epsilon", math.nan), ("beta", math.nan),
+         ("epsilon", math.inf), ("beta", math.inf), ("beta", -math.inf)],
     )
     def test_config_out_of_range_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be >= 0$"):
+        message = "must be finite, got inf" if value == math.inf else "must be >= 0"
+        with pytest.raises(ValueError, match=f"^{field} {message}$"):
             ObjectiveConfig(**{field: value})
 
     def test_empty_groups_rejected(self):
         with pytest.raises(ValueError, match="objective needs at least one group"):
             objective([], ObjectiveConfig())
 
-    def test_group_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="one log-prob record per group sample"):
-            objective(
-                [(RewardGroup((1.0, 0.0)), [TokenLogProbs((), (), ())])],
-                ObjectiveConfig(),
-            )
-
 
 class TestExport:
     def test_jsonl_contract(self, tmp_path):
         rng = np.random.default_rng(1)
-        groups = [
-            (
-                RewardGroup((1.2, 0.0)),
-                [TokenLogProbs(*random_logprobs(rng, 3)) for _ in range(2)],
-            )
+        records = [
+            group_record((1.2, 0.0), [random_logprobs(rng, 3) for _ in range(2)], "q1"),
+            group_record((0.5,), [None], "q2"),
         ]
-        _, signals = objective(groups, ObjectiveConfig())
+        _, signals = objective(records, ObjectiveConfig())
         path = tmp_path / "signals.jsonl"
-        write_training_signals(path, ["q1"], signals)
-        import json
+        write_training_signals(path, signals)
 
         lines = [json.loads(x) for x in path.read_text().splitlines()]
-        assert len(lines) == 2
-        assert set(lines[0]) == {
-            "query_id",
-            "sample_index",
-            "reward",
-            "advantage",
-            "ratio",
-            "clipped_term",
-            "kl_term",
-        }
-        assert lines[0]["query_id"] == "q1"
-        assert lines[1]["sample_index"] == 1
-
-    def test_id_count_mismatch_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="one query id per signal group required"):
-            write_training_signals(tmp_path / "x.jsonl", ["a", "b"], [[]])
+        assert lines == signals[0] + signals[1]
+        assert all(list(line) == SIGNAL_KEYS for line in lines)
+        assert [(x["query_id"], x["sample_index"], x["reward"]) for x in lines] == [
+            ("q1", 0, 1.2), ("q1", 1, 0.0), ("q2", 0, 0.5)
+        ]
+        assert [x["advantage"] for x in lines] == pytest.approx([0.6, -0.6, 0.0])

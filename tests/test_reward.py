@@ -151,7 +151,7 @@ class TestCombinedReward:
         with pytest.raises(ValueError, match=f"lambda must be finite, got {value}"):
             combined_reward(1.0, 1.0, value)
         with pytest.raises(ValueError, match=f"lambda must be finite, got {value}"):
-            LambdaSchedule.linear(0.0, value, 4)
+            LambdaSchedule(0.0, value, 4)
 
     def test_json_field_names(self):
         d = combined_reward(1.0, 0.0, 0.2).to_dict()
@@ -160,25 +160,25 @@ class TestCombinedReward:
 
 class TestLambdaSchedule:
     def test_constant(self):
-        assert lambda_at(LambdaSchedule.constant(0.2), 10_000) == 0.2
+        assert lambda_at(LambdaSchedule(0.2, 0.2, 1), 10_000) == 0.2
 
     def test_linear_midpoint(self):
-        sched = LambdaSchedule.linear(0.0, 0.2, 100)
+        sched = LambdaSchedule(0.0, 0.2, 100)
         assert lambda_at(sched, 50) == pytest.approx(0.1)
 
     def test_linear_clamps_at_end(self):
-        sched = LambdaSchedule.linear(0.0, 0.2, 100)
+        sched = LambdaSchedule(0.0, 0.2, 100)
         assert lambda_at(sched, 250) == pytest.approx(0.2)
 
     def test_zero_steps_rejected(self):
         with pytest.raises(ValueError, match=r"linear schedule needs steps >= 1"):
-            LambdaSchedule.linear(0.0, 0.2, 0)
+            LambdaSchedule(0.0, 0.2, 0)
 
     @given(st.integers(0, 10_000))
     def test_emitted_lambda_never_negative(self, step):
         for sched in (
-            LambdaSchedule.constant(0.2),
-            LambdaSchedule.linear(0.0, 0.2, 100),
-            LambdaSchedule.linear(0.3, 0.1, 7),
+            LambdaSchedule(0.2, 0.2, 1),
+            LambdaSchedule(0.0, 0.2, 100),
+            LambdaSchedule(0.3, 0.1, 7),
         ):
             assert lambda_at(sched, step) >= 0.0

@@ -13,7 +13,7 @@ from structrl import rollout
 from structrl.backends import MockBackend
 from structrl.dataset import QueryInstance
 from structrl.errors import BackendError
-from structrl.grpo import RewardGroup, group_advantages
+from structrl.grpo import group_advantages
 from structrl.reward import LambdaSchedule, combined_reward
 from structrl.rollout import (
     RolloutConfig,
@@ -220,7 +220,7 @@ class TestRunRollouts:
     def test_lambda_schedule_applied_per_step(self, tmp_path):
         backend = self._backend(tmp_path)
         config = RolloutConfig(
-            k=1, lambda_schedule=LambdaSchedule.linear(0.0, 0.2, 2)
+            k=1, lambda_schedule=LambdaSchedule(0.0, 0.2, 2)
         )
         groups = list(run_rollouts(self._dataset(), config, backend))
         assert [g.lambda_ for g in groups] == pytest.approx([0.0, 0.1, 0.2])
@@ -231,7 +231,9 @@ class TestRunRollouts:
          ("retries", -1, "retries must be >= 0"), ("parallelism", 0, "parallel must be >= 1"),
          ("max_tokens", 0, "max_tokens must be >= 1"),
          ("temperature", -0.5, "temperature must be >= 0"),
-         ("temperature", math.nan, "temperature must be >= 0")],
+         ("temperature", math.nan, "temperature must be >= 0"),
+         ("temperature", math.inf, "temperature must be finite, got inf"),
+         ("temperature", -math.inf, "temperature must be >= 0")],
     )
     def test_config_out_of_range_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -358,7 +360,7 @@ class TestRescore:
                 pair["breakdown"] = breakdown.to_dict()
                 totals.append(breakdown.total)
             new["lambda"] = lambda_
-            new["advantages"] = list(group_advantages(RewardGroup(tuple(totals))).advantages)
+            new["advantages"] = list(group_advantages(totals).advantages)
             expected.append(new)
         rescored = rescore_records(records, lambda_)
         assert json.dumps(rescored) == json.dumps(expected)
@@ -375,7 +377,7 @@ class TestRescore:
         backend, queries = mixed_rollout
 
         def rollout_at(lambda_):
-            config = RolloutConfig(k=3, lambda_schedule=LambdaSchedule.constant(lambda_))
+            config = RolloutConfig(k=3, lambda_schedule=LambdaSchedule(lambda_, lambda_, 1))
             return run_rollouts(queries, config, backend)
 
         with tempfile.TemporaryDirectory() as tmp:
