@@ -4,6 +4,11 @@ checks, trajectory validation, dataset plumbing, and a lambda sweep.
 Config precedence is flags > environment > config file > defaults, and every
 run that writes outputs also writes its resolved config beside them so reruns
 are reproducible. Timestamps go to a sidecar log only, never into outputs.
+Artifacts are streamed: ``rollout`` writes each group's record and signal
+lines as the group finishes, in dataset order, and the resolved config only
+after the last one, so an interrupted run keeps its finished groups and has
+no ``resolved_config.json``; ``density`` encodes its report straight into
+the file.
 Low scores are data, not failures: exit codes are nonzero only for
 structural, schema, or I/O errors (and for --strict validation findings).
 """
@@ -15,6 +20,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import IO
 
 from . import dataset as ds
 from . import evaluation as ev
@@ -53,6 +59,7 @@ SETTINGS = {
     "max_tokens": (int, 1024),
     "retries": (int, 2),
 }
+_SETTING_FLAGS = {f"--{name.replace('_', '-')}" for name in SETTINGS}
 # the JSON values a config file may give a setting of each type, never a bool;
 # a setting whose default is None may also be null
 _CONFIG_TYPES = {
@@ -136,14 +143,14 @@ def _write_sidecar(out_dir: Path, command: str, resolved: dict) -> None:
         fh.write(f"{stamp} {command}\n")
 
 
-def _export_signals(path: Path, records: list[dict], config: ObjectiveConfig) -> float | None:
-    """The one path from group records to training signals, for ``rollout`` and
-    ``score-export`` alike; returns the objective, or None for no records."""
+def _export_signals(out: IO[str], records: list[dict], config: ObjectiveConfig) -> float | None:
+    """The one path from group records to training signal lines, for
+    ``rollout`` (one group at a time) and ``score-export`` (every record at
+    once) alike; returns the objective, or None for no records."""
     if not records:
-        path.write_text("", "utf-8")
         return None
     j, signals = objective(records, config)
-    write_training_signals(path, signals)
+    write_training_signals(out, signals)
     return j
 
 
@@ -168,23 +175,36 @@ def cmd_rollout(args: argparse.Namespace) -> int:
     )
     out_dir = Path(resolved["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = [g.to_dict() for g in run_rollouts(queries, config, backend)]
-    write_rollout_jsonl(out_dir / "rollouts.jsonl", records)
-    _export_signals(out_dir / "training_signals.jsonl", records, objective_config)
+    # each group's record and signal lines are written as soon as it is done,
+    # in dataset order; only the summary line's per-pair figures are kept
+    groups = 0
+    totals: list[float] = []
+    with_formats: list[bool] = []
+    self_contained: list[bool] = []
+    with (
+        open(out_dir / "rollouts.jsonl", "w", encoding="utf-8") as rollouts,
+        open(out_dir / "training_signals.jsonl", "w", encoding="utf-8") as signals,
+    ):
+        for group in run_rollouts(queries, config, backend):
+            record = group.to_dict()
+            write_rollout_jsonl(rollouts, [record])
+            _export_signals(signals, [record], objective_config)
+            groups += 1
+            for p in record["pairs"]:
+                totals.append(p["breakdown"]["total"])
+                with_formats.append(any(b["kind"] == "format" for b in p["primary"]["blocks"]))
+                self_contained.append(p["breakdown"]["reinf"] == 1.0)
     _write_sidecar(out_dir, "rollout", resolved)
 
-    pairs = [p for r in records for p in r["pairs"]]
-    if pairs:
-        mean_total = sum(p["breakdown"]["total"] for p in pairs) / len(pairs)
-        with_formats = sum(
-            1 for p in pairs if any(b["kind"] == "format" for b in p["primary"]["blocks"])
-        ) / len(pairs)
-        self_contained = sum(1 for p in pairs if p["breakdown"]["reinf"] == 1.0) / len(pairs)
+    if totals:
+        # sum() over each whole list: a running += would round differently
+        # from sum(), whose float sums are compensated on Python >= 3.12
+        n = len(totals)
         print(
-            f"groups={len(records)} samples={len(pairs)} "
-            f"mean_reward={mean_total:.4f} "
-            f"with_formats={100 * with_formats:.1f}% "
-            f"self_contained={100 * self_contained:.1f}%"
+            f"groups={groups} samples={n} "
+            f"mean_reward={sum(totals) / n:.4f} "
+            f"with_formats={100 * (sum(with_formats) / n):.1f}% "
+            f"self_contained={100 * (sum(self_contained) / n):.1f}%"
         )
     else:
         print("groups=0 samples=0")
@@ -195,7 +215,8 @@ def cmd_score_export(args: argparse.Namespace) -> int:
     resolved = resolve_config(args)
     objective_config = ObjectiveConfig(resolved["epsilon"], resolved["beta"])
     records = read_rollout_jsonl(args.rollouts)
-    j = _export_signals(Path(args.out), records, objective_config)
+    with open(args.out, "w", encoding="utf-8") as out:
+        j = _export_signals(out, records, objective_config)
     if j is None:
         print("objective=n/a groups=0")
     else:
@@ -327,9 +348,11 @@ def cmd_density(args: argparse.Namespace) -> int:
         print("density needs --corpus or --synthetic", file=sys.stderr)
         return 1
     report = run_corpus(instances)
-    text = json.dumps(report, ensure_ascii=False, indent=2) + "\n"
     if args.out:
-        Path(args.out).write_text(text, "utf-8")
+        # encoded straight into the file, never held whole as one string
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, ensure_ascii=False, indent=2)
+            fh.write("\n")
     s = report["summary"]
     print(
         f"instances={s['n']} pass={s['pass']} fail={s['fail']} "
@@ -446,8 +469,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_setting_values(argv: list[str]) -> list[str]:
+    """Each setting flag followed by a value that starts with ``-`` joined to
+    it as ``--flag=VALUE``: argparse would read ``-inf`` or ``-1e3`` as an
+    option and fail with a usage error, not with the setting's own message."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in _SETTING_FLAGS and arg.startswith("-"):
+            joined[-1] += f"={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_setting_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (StructRLError, OSError, ValueError) as exc:

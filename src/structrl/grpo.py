@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence
+from typing import IO, Sequence
 
 
 @dataclass(frozen=True)
@@ -130,9 +129,9 @@ def objective(
     return _mean(terms), signals
 
 
-def write_training_signals(path: str | Path, signals: list[list[dict]]) -> None:
-    """One JSONL line per sample record, in group and sample order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for group in signals:
-            for record in group:
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+def write_training_signals(fh: IO[str], signals: list[list[dict]]) -> None:
+    """One JSONL line per sample record, in group and sample order, appended
+    to an open text file."""
+    for group in signals:
+        for record in group:
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")

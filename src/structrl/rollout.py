@@ -14,6 +14,11 @@ Both passes of every sample are validated against one `DocIndex` per query:
 the normalised n-grams of its documents, built when the group starts and
 shared by all K samples. It is dropped with the group, so at most one index
 per worker is alive.
+
+`run_rollouts` yields each group once it and every group before it are done,
+so a caller can write the group's record and drop it before the next one
+arrives, as `structrl rollout` does: `write_rollout_jsonl` appends to an open
+file.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from itertools import count, repeat
 from operator import sub
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 from .backends import Generation, GenerationBackend, SamplingParams
 from .dataset import QueryInstance, is_finite_number, read_records
@@ -266,13 +271,13 @@ def run_rollouts(
         )
 
 
-def write_rollout_jsonl(path: str | Path, records: Iterable[dict]) -> int:
-    """One group record (``RolloutGroup.to_dict()``) per line; returns the count."""
+def write_rollout_jsonl(fh: IO[str], records: Iterable[dict]) -> int:
+    """One group record (``RolloutGroup.to_dict()``) per line, appended to an
+    open text file; returns the count."""
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-            n += 1
+    for record in records:
+        fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        n += 1
     return n
 
 

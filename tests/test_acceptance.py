@@ -138,7 +138,8 @@ def test_criterion_3_reward_contract(tmp_path):
             )
 
         path = tmp_path / "rollouts.jsonl"
-        write_rollout_jsonl(path, [g.to_dict() for g in groups])
+        with open(path, "w", encoding="utf-8") as fh:
+            write_rollout_jsonl(fh, [g.to_dict() for g in groups])
         records = read_rollout_jsonl(path)
 
         def sweep_row(lam):

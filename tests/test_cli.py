@@ -377,6 +377,9 @@ class TestRolloutCommand:
          ("--max-tokens", "-5", "max_tokens must be >= 1"),
          ("--temperature", "-1", "temperature must be >= 0"),
          ("--temperature", "nan", "temperature must be >= 0"),
+         # argparse alone would read these two values as options
+         ("--temperature", "-inf", "temperature must be >= 0"),
+         ("--temperature", "-1e3", "temperature must be >= 0"),
          ("--epsilon", "-1", "epsilon must be >= 0"), ("--beta", "-2", "beta must be >= 0"),
          ("--temperature", "inf", "temperature must be finite, got inf"),
          ("--epsilon", "inf", "epsilon must be finite, got inf"),
@@ -620,6 +623,7 @@ class TestScoreExport:
     @pytest.mark.parametrize(
         "flag, value, message",
         [("--epsilon", "-1", "epsilon must be >= 0"), ("--beta", "-2", "beta must be >= 0"),
+         ("--beta", "-inf", "beta must be >= 0"),
          ("--beta", "inf", "beta must be finite, got inf")],
     )
     def test_out_of_range_setting_fails_before_reading(

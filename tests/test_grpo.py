@@ -257,7 +257,8 @@ class TestExport:
         ]
         _, signals = objective(records, ObjectiveConfig())
         path = tmp_path / "signals.jsonl"
-        write_training_signals(path, signals)
+        with open(path, "w", encoding="utf-8") as fh:
+            write_training_signals(fh, signals)
 
         lines = [json.loads(x) for x in path.read_text().splitlines()]
         assert lines == signals[0] + signals[1]

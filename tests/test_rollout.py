@@ -247,7 +247,8 @@ class TestRunRollouts:
         backend = self._backend(tmp_path)
         groups = run_rollouts(self._dataset(), RolloutConfig(k=2), backend)
         path = tmp_path / "rollouts.jsonl"
-        n = write_rollout_jsonl(path, [g.to_dict() for g in groups])
+        with open(path, "w", encoding="utf-8") as fh:
+            n = write_rollout_jsonl(fh, [g.to_dict() for g in groups])
         assert n == 3
         assert len(read_rollout_jsonl(path)) == 3
 
@@ -382,7 +383,8 @@ class TestRescore:
 
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "rollouts.jsonl"
-            write_rollout_jsonl(path, [g.to_dict() for g in rollout_at(a)])
+            with open(path, "w", encoding="utf-8") as fh:
+                write_rollout_jsonl(fh, [g.to_dict() for g in rollout_at(a)])
             rescored = rescore_records(read_rollout_jsonl(path), b)
         rerun = [g.to_dict() for g in rollout_at(b)]
         assert json.dumps(rescored, ensure_ascii=False) == json.dumps(rerun, ensure_ascii=False)

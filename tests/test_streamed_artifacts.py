@@ -1,0 +1,147 @@
+"""Byte pins of every artifact that ``rollout`` and ``density`` stream to
+disk, on the benchmark's workload shapes, and what an interrupted rollout
+leaves behind.
+
+The workloads come from ``benches/workload.py``, imported read-only. The pins
+were computed before the writers streamed, when each artifact was written
+whole at the end, so they show that streaming changed no byte. Each test runs
+in its tmp dir with relative paths: a failed mock pair's ``failure`` names
+the fixture directory as given, and ``resolved_config.json`` records it.
+"""
+import hashlib
+import json
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benches"))
+
+import workload  # noqa: E402
+from structrl import cli  # noqa: E402
+from structrl.cli import main  # noqa: E402
+
+MOCK_K8 = workload.Shape(queries=32, docs=10, doc_tokens=(80, 200))
+SEED = 9
+# sha256 of what a mock-k8 rollout writes and prints, with every fixture or
+# with every third one deleted, which fails some pairs; the same at any
+# --parallel
+PINS = {
+    "every-fixture": {
+        "rollouts.jsonl": "9214beb4fad678e36bae4f38fe5e53cf7fb0e3a7eed7dfc7ba3f292700502673",
+        "training_signals.jsonl": "39512761ddd8143db00e5dbff896c22ad5d532e316999fd6dd0254abd99bb7ae",
+        "summary": "c2f7cd2bee633707b468e40eba7eeb884cbd29250a6d45b60ede4132d8c309ec",
+    },
+    "every-third-deleted": {
+        "rollouts.jsonl": "92c5bb3bed61ba7db5091bae4af9e3306bafeb3cd4570ee4b9c8a4ee85b65c47",
+        "training_signals.jsonl": "b94b60df9c8bb1b6d5ae5f68112b03e7359c83c4ff9dcb4c9b1728937f1dba6d",
+        "summary": "cb63fb557582614e301c429b4b5f0ad32ae6c2c5760c32d3eda045ce0fb2356a",
+    },
+}
+# resolved_config.json records --parallel, and nothing that the fixtures change
+CONFIG_PINS = {
+    "1": "1fca438333c1f0d4702a200e830f322831a540a70755d9960542f54efe24c4cc",
+    "2": "35c7f3cb384cb1f71482774be42b3924349cc596f10b8d3eadb04984759a134c",
+}
+# density --synthetic --n 2000 --seed 9, the offline benchmark's size
+DENSITY_PIN = "33e6e584861ebdada04c8d6e193ac4091910624793637d59723efcaac2a6b2e9"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _versions() -> str:
+    # the mock's log-probs and the synthetic density instances come from
+    # numpy's Generator methods, whose output a numpy release may change
+    return f"numpy {np.__version__} here; the pins were computed with numpy 2.4.6"
+
+
+def _rollout(out: str, parallel: str) -> int:
+    return main(
+        ["rollout", "--dataset", "w/dataset.jsonl", "--fixtures", "w/fixtures",
+         "--k", str(workload.K), "--lambda", str(workload.LAMBDA), "--seed", "0",
+         "--parallel", parallel, "--out", out]
+    )
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+@pytest.mark.parametrize("fixtures", sorted(PINS))
+def test_mock_rollout_bytes_are_pinned(tmp_path, monkeypatch, capsys, fixtures, parallel):
+    monkeypatch.chdir(tmp_path)
+    workload.generate("w", SEED, MOCK_K8)
+    if fixtures == "every-third-deleted":
+        for path in sorted(Path("w/fixtures").glob("*.txt"))[::3]:
+            path.unlink()
+    assert _rollout("out", parallel) == 0
+    summary = capsys.readouterr().out
+    out = Path("out")
+    records = [json.loads(line) for line in (out / "rollouts.jsonl").read_text("utf-8").splitlines()]
+    failed = sum(p["failed"] for r in records for p in r["pairs"])
+    assert (failed > 0) == (fixtures == "every-third-deleted")
+    digests = {
+        "rollouts.jsonl": _sha((out / "rollouts.jsonl").read_bytes()),
+        "training_signals.jsonl": _sha((out / "training_signals.jsonl").read_bytes()),
+        "summary": _sha(summary.encode("utf-8")),
+    }
+    assert digests == PINS[fixtures], _versions()
+    assert _sha((out / "resolved_config.json").read_bytes()) == CONFIG_PINS[parallel], _versions()
+    # score-export rebuilds the streamed signal lines from the records read back
+    assert main(["score-export", "--rollouts", "out/rollouts.jsonl", "--out", "signals.jsonl"]) == 0
+    assert Path("signals.jsonl").read_bytes() == (out / "training_signals.jsonl").read_bytes()
+
+
+def test_synthetic_density_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(["density", "--synthetic", "--n", "2000", "--seed", str(SEED), "--out", "report.json"])
+    assert code == 0
+    assert "instances=2000 pass=2000" in capsys.readouterr().out
+    assert _sha(Path("report.json").read_bytes()) == DENSITY_PIN, _versions()
+
+
+SMALL = workload.Shape(queries=6, docs=4, doc_tokens=(40, 80))
+
+
+class _InterruptOnCall:
+    """A backend that raises ``KeyboardInterrupt`` on its ``n``-th call."""
+
+    def __init__(self, backend, n: int) -> None:
+        self.backend, self.n = backend, n
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def generate(self, prompt, sampling):
+        with self.lock:
+            self.calls += 1
+            hit = self.calls == self.n
+        if hit:
+            raise KeyboardInterrupt
+        return self.backend.generate(prompt, sampling)
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+@pytest.mark.parametrize("n", [1, 20, 45])
+def test_interrupted_rollout_keeps_its_finished_groups(tmp_path, monkeypatch, capsys, n, parallel):
+    monkeypatch.chdir(tmp_path)
+    workload.generate("w", SEED, SMALL)
+    assert _rollout("whole", parallel) == 0
+    make_backend = cli.make_backend
+    monkeypatch.setattr(
+        cli, "make_backend", lambda *a, **kw: _InterruptOnCall(make_backend(*a, **kw), n)
+    )
+    with pytest.raises(KeyboardInterrupt):
+        _rollout("cut", parallel)
+    whole, cut = Path("whole"), Path("cut")
+    lines = {}
+    for name in ("rollouts.jsonl", "training_signals.jsonl"):
+        written = (cut / name).read_bytes()
+        assert (whole / name).read_bytes().startswith(written)
+        assert written.endswith(b"\n") or not written
+        lines[name] = written.count(b"\n")
+    assert lines["rollouts.jsonl"] < SMALL.queries
+    assert lines["training_signals.jsonl"] == workload.K * lines["rollouts.jsonl"]
+    # the sidecar is written only after the last group
+    assert not (cut / "resolved_config.json").exists()
+    assert not (cut / "run.log").exists()
