@@ -4,6 +4,9 @@ The mock resolves responses from a fixture directory keyed by a digest of
 (seed, prompt), falling back to substring rules, so scripted rollouts are
 hand-writable and reproducible byte-for-byte. The HTTP backend speaks a
 plain completions-style JSON contract.
+
+numpy is imported by the mock's log-prob draw, on its first call, and not by
+this module: an HTTP rollout never loads it.
 """
 from __future__ import annotations
 
@@ -17,8 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 from urllib.parse import urlsplit
-
-import numpy as np
 
 from .dataset import is_finite_number
 from .errors import BackendError
@@ -52,6 +53,8 @@ def prompt_digest(prompt: str, seed: int) -> str:
 
 def _synthetic_logprobs(digest: str, text: str) -> TokenLogProbs:
     """Deterministic per-token log-prob triple derived from the fixture key."""
+    import numpy as np  # on the first draw only; see the module docstring
+
     n = max(1, len(text.split()))
     rng = np.random.default_rng(int(digest[:16], 16))
     policy = -rng.uniform(0.05, 2.0, n)

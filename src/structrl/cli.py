@@ -340,13 +340,12 @@ def _corpus_instances(path: str) -> list[dict]:
 
 
 def cmd_density(args: argparse.Namespace) -> int:
+    if args.synthetic == bool(args.corpus):
+        raise ValueError("density needs either --corpus or --synthetic")
     if args.synthetic:
         instances = generate_synthetic(args.n, args.seed)
-    elif args.corpus:
-        instances = _corpus_instances(args.corpus)
     else:
-        print("density needs --corpus or --synthetic", file=sys.stderr)
-        return 1
+        instances = _corpus_instances(args.corpus)
     report = run_corpus(instances)
     if args.out:
         # encoded straight into the file, never held whole as one string

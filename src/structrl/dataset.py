@@ -4,6 +4,9 @@ The on-disk record is one JSON object per line with fields `id`, `question`,
 `docs` (array of text), and `golden_answers` (array of text). Converters map
 the common multi-hop distribution shape (`_id`, `answer`, `context` as
 [title, sentences] pairs) onto it.
+
+numpy is imported by ``sample``, on its first call, and not by this module:
+loading, converting and writing datasets never load it.
 """
 from __future__ import annotations
 
@@ -13,8 +16,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator
-
-import numpy as np
 
 from .errors import MissingField, ParseError
 
@@ -128,6 +129,8 @@ def sample(instances: list[QueryInstance], n: int, seed: int) -> list[QueryInsta
         raise ValueError("n must be >= 0")
     if n > len(instances):
         raise ValueError(f"asked for {n} of {len(instances)} instances")
+    import numpy as np  # on the first draw only; see the module docstring
+
     arr = list(instances)
     rng = np.random.default_rng(seed)
     for i in range(len(arr) - 1, 0, -1):

@@ -11,12 +11,13 @@ instances that break the preservation premise are downgraded to
 An instance is a ``density --corpus`` record, ``{raw_docs, candidates:
 [{label, body}], facts, matcher}``, and every result is the JSON of the
 report that ``density`` writes.
+
+numpy is imported by ``generate_synthetic``, on its first call, and not by
+this module: ``density --corpus`` never loads it.
 """
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from ._textnorm import norm_tokens, normalize_text
 from .prompting import PREDEFINED_FORMATS
@@ -103,6 +104,8 @@ def generate_synthetic(n_instances: int, seed: int) -> list[dict]:
     """
     if n_instances < 0:
         raise ValueError("n must be >= 0")
+    import numpy as np  # on the first draw only; see the module docstring
+
     rng = np.random.default_rng(seed)
     instances = []
     for idx in range(n_instances):

@@ -1,7 +1,8 @@
 """End-to-end tests for the command line interface.
 
-Every command is invoked in-process through main() so exit codes and
-stdout/stderr are observable without subprocesses.
+Commands are invoked in-process through main() so exit codes and
+stdout/stderr are observable without subprocesses; only the checks of what
+importing and running the CLI loads use a fresh interpreter.
 """
 import copy
 import hashlib
@@ -11,6 +12,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from importlib import resources
 from pathlib import Path
 
@@ -860,6 +863,14 @@ class TestDensityCommand:
         assert code == 1
         assert "--corpus or --synthetic" in capsys.readouterr().err
 
+    def test_refuses_both_sources_before_reading(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(["density", "--corpus", str(tmp_path / "absent.jsonl"),
+                     "--synthetic", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: density needs either --corpus or --synthetic\n"
+        assert not out.exists()
+
 
 class TestValidateCommand:
     def test_clean_trace(self, tmp_path, capsys, golden_trace, golden_docs):
@@ -1226,6 +1237,122 @@ def test_importing_the_cli_leaves_requests_unloaded():
         check=True,
     )
     assert run.stdout == "[]\n"
+
+
+class _FixedAnswer(BaseHTTPRequestHandler):
+    """Answers every completion request with one formatted answer and log-probs."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        text = "<format: Table>| city | Rome |</format: Table>\n<answer> Rome </answer>"
+        data = json.dumps(
+            {"choices": [{"text": text, "logprobs": {"token_logprobs": [-0.5, -0.25]}}]}
+        ).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def fixed_answer_endpoint():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _FixedAnswer)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/v1/completions"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+# run in a fresh interpreter: each step is (name, code), and the script prints,
+# per step, whether numpy is then loaded that was not before structrl was
+# imported, so a site hook that loads numpy cannot fail the check
+_NUMPY_PROBE = """
+import json, sys
+before = set(sys.modules)
+added = {}
+for name, code in json.loads(sys.argv[1]):
+    exec(code)
+    added[name] = "numpy" in set(sys.modules) - before
+print(json.dumps(added))
+"""
+
+
+def _numpy_added_by(steps: list[tuple[str, str]], cwd: Path) -> dict:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(steps)],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def _numpy_probe_dataset(tmp_path: Path) -> None:
+    (tmp_path / "fixtures").mkdir()
+    (tmp_path / "data.jsonl").write_text(
+        "".join(
+            json.dumps({"id": f"q{i}", "question": f"question {i}?",
+                        "docs": [f"Rome doc {i}", "filler"], "golden_answers": ["Rome"]}) + "\n"
+            for i in range(4)
+        ),
+        "utf-8",
+    )
+
+
+def test_http_rollout_and_rescoring_leave_numpy_unloaded(tmp_path, fixed_answer_endpoint):
+    """Only a seeded draw loads numpy: the HTTP path and the re-scoring
+    commands, which serve the training loop, start without it."""
+    _numpy_probe_dataset(tmp_path)
+    ok = "assert {} == 0"
+    steps = [
+        ("import structrl.cli", "from structrl.cli import main"),
+        ("load_jsonl", "from structrl.dataset import load_jsonl; load_jsonl('data.jsonl')"),
+        ("mock backend", "from structrl.backends import make_backend; make_backend('mock', fixtures='fixtures')"),
+        ("http backend", f"make_backend('http', endpoint={fixed_answer_endpoint!r})"),
+        ("rollout", ok.format(
+            f"main(['rollout', '--backend', 'http', '--endpoint', {fixed_answer_endpoint!r}, "
+            "'--dataset', 'data.jsonl', '--k', '2', '--parallel', '2', '--out', 'run'])")),
+        ("score-export", ok.format(
+            "main(['score-export', '--rollouts', 'run/rollouts.jsonl', '--out', 'signals.jsonl'])")),
+        ("sweep-lambda", ok.format("main(['sweep-lambda', '--rollouts', 'run/rollouts.jsonl'])")),
+    ]
+    added = _numpy_added_by(steps, tmp_path)
+    assert added == {name: False for name, _ in steps}
+    assert (tmp_path / "signals.jsonl").read_bytes() == (
+        tmp_path / "run" / "training_signals.jsonl"
+    ).read_bytes()
+    assert len((tmp_path / "signals.jsonl").read_text("utf-8").splitlines()) == 4 * 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--dataset", "data.jsonl", "--n", "2", "--out", "sampled.jsonl"],
+        ["density", "--synthetic", "--n", "3"],
+    ],
+    ids=["sample", "density-synthetic"],
+)
+def test_seeded_draws_load_numpy(tmp_path, argv):
+    """The positive control of the test above: these commands draw from a
+    seeded numpy Generator, so numpy must be loaded once they have run."""
+    _numpy_probe_dataset(tmp_path)
+    steps = [
+        ("import structrl.cli", "from structrl.cli import main"),
+        (argv[0], f"assert main({argv!r}) == 0; assert 'numpy' in sys.modules"),
+    ]
+    assert _numpy_added_by(steps, tmp_path)["import structrl.cli"] is False
 
 
 def test_readme_rollout_synopsis_names_the_flags_of_the_settings():

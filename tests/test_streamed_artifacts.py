@@ -10,6 +10,8 @@ the fixture directory as given, and ``resolved_config.json`` records it.
 """
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -91,6 +93,31 @@ def test_mock_rollout_bytes_are_pinned(tmp_path, monkeypatch, capsys, fixtures, 
     # score-export rebuilds the streamed signal lines from the records read back
     assert main(["score-export", "--rollouts", "out/rollouts.jsonl", "--out", "signals.jsonl"]) == 0
     assert Path("signals.jsonl").read_bytes() == (out / "training_signals.jsonl").read_bytes()
+
+
+def test_rollout_in_a_fresh_interpreter_is_pinned(tmp_path, monkeypatch):
+    """In a fresh interpreter numpy is first imported by the mock's log-prob
+    draw, on the rollout's pool threads at once; pytest has already imported
+    it, so the in-process pins above never exercise that."""
+    monkeypatch.chdir(tmp_path)
+    workload.generate("w", SEED, MOCK_K8)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "structrl.cli", "rollout", "--dataset", "w/dataset.jsonl",
+         "--fixtures", "w/fixtures", "--k", str(workload.K), "--lambda", str(workload.LAMBDA),
+         "--seed", "0", "--parallel", "2", "--out", "out"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        timeout=300,
+        check=True,
+    )
+    out = Path("out")
+    digests = {
+        "rollouts.jsonl": _sha((out / "rollouts.jsonl").read_bytes()),
+        "training_signals.jsonl": _sha((out / "training_signals.jsonl").read_bytes()),
+        "summary": _sha(run.stdout),
+    }
+    assert digests == PINS["every-fixture"], _versions()
 
 
 def test_synthetic_density_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
