@@ -6,6 +6,11 @@ A trajectory is raw generated text segmented into tagged blocks:
     <format: NAME> ... </format: NAME>
     <answer> ... </answer>
 
+A block is its record, the dict written to ``rollouts.jsonl``: ``{"kind",
+"format_name", "content", "span"}``, where ``kind`` is ``"think"``,
+``"format"`` or ``"answer"``, ``format_name`` is None except on a format
+block, and ``span`` is the ``[start, end]`` of the whole tagged region.
+
 Tags are literal and case-sensitive. A format block is well-formed only when
 the opening and closing names match byte-for-byte after trimming surrounding
 whitespace. Text outside well-formed blocks is ignored by the parser; broken
@@ -33,12 +38,6 @@ _OPEN_RE = re.compile(r"<think>|<answer>|<format:([^<>]*)>")
 _FORMAT_CLOSE_RE = re.compile(r"</format:([^<>]*)>")
 
 
-class BlockKind(str, Enum):
-    THINK = "think"
-    FORMAT = "format"
-    ANSWER = "answer"
-
-
 class Rule(str, Enum):
     """Validation rule identifiers, stable across serialization."""
 
@@ -52,44 +51,21 @@ class Rule(str, Enum):
 
 
 @dataclass(frozen=True)
-class Block:
-    kind: BlockKind
-    content: str
-    span: tuple[int, int]
-    format_name: str | None = None
-
-    def __post_init__(self) -> None:
-        if (self.format_name is not None) != (self.kind is BlockKind.FORMAT):
-            raise ValueError("format_name is present exactly when kind is format")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "format_name": self.format_name,
-            "content": self.content,
-            "span": list(self.span),
-        }
-
-
-@dataclass(frozen=True)
 class Trajectory:
     raw: str
-    blocks: tuple[Block, ...]
+    blocks: tuple[dict, ...]  # block records, in document order
     answer: str | None
     # grammar issues found while parsing; `validate` reports them, so the
     # serialized form leaves them out
     grammar_violations: tuple[Violation, ...]
 
-    def format_blocks(self) -> tuple[Block, ...]:
-        return tuple(b for b in self.blocks if b.kind is BlockKind.FORMAT)
-
     def has_formats(self) -> bool:
-        return any(b.kind is BlockKind.FORMAT for b in self.blocks)
+        return any(b["kind"] == "format" for b in self.blocks)
 
     def to_dict(self) -> dict:
         return {
             "raw": self.raw,
-            "blocks": [b.to_dict() for b in self.blocks],
+            "blocks": list(self.blocks),
             "answer": self.answer,
         }
 
@@ -131,7 +107,7 @@ PLACEHOLDER_FORMAT_BODY = "Your reformatted information"
 PLACEHOLDER_ANSWER_TEXT = "and"
 
 
-def _scan(raw: str) -> tuple[list[Block], list[Violation]]:
+def _scan(raw: str) -> tuple[list[dict], list[Violation]]:
     """Single left-to-right pass producing well-formed blocks and grammar issues.
 
     An unclosed open tag is flagged and scanning resumes just past the tag, so
@@ -142,7 +118,7 @@ def _scan(raw: str) -> tuple[list[Block], list[Violation]]:
     that kind can close either; remembering that keeps the pass linear in
     unclosed tags.
     """
-    blocks: list[Block] = []
+    blocks: list[dict] = []
     issues: list[Violation] = []
     unclosed: set[str] = set()
     pos = 0
@@ -152,7 +128,6 @@ def _scan(raw: str) -> tuple[list[Block], list[Violation]]:
             break
         tag = m.group(0)
         if tag == "<think>" or tag == "<answer>":
-            kind = BlockKind.THINK if tag == "<think>" else BlockKind.ANSWER
             close = f"</{tag[1:]}"
             end = -1 if tag in unclosed else raw.find(close, m.end())
             if end == -1:
@@ -162,9 +137,8 @@ def _scan(raw: str) -> tuple[list[Block], list[Violation]]:
                 )
                 pos = m.end()
                 continue
-            blocks.append(
-                Block(kind, raw[m.end() : end], (m.start(), end + len(close)))
-            )
+            blocks.append({"kind": tag[1:-1], "format_name": None,
+                           "content": raw[m.end() : end], "span": [m.start(), end + len(close)]})
             pos = end + len(close)
         else:
             name = m.group(1).strip()
@@ -191,14 +165,8 @@ def _scan(raw: str) -> tuple[list[Block], list[Violation]]:
                 )
                 pos = cm.end()
                 continue
-            blocks.append(
-                Block(
-                    BlockKind.FORMAT,
-                    raw[m.end() : cm.start()],
-                    (m.start(), cm.end()),
-                    format_name=name,
-                )
-            )
+            blocks.append({"kind": "format", "format_name": name,
+                           "content": raw[m.end() : cm.start()], "span": [m.start(), cm.end()]})
             pos = cm.end()
     return blocks, issues
 
@@ -211,11 +179,7 @@ def parse_trajectory(raw: str) -> Trajectory:
     first answer block, trimmed.
     """
     blocks, issues = _scan(raw)
-    answer = None
-    for b in blocks:
-        if b.kind is BlockKind.ANSWER:
-            answer = b.content.strip()
-            break
+    answer = next((b["content"].strip() for b in blocks if b["kind"] == "answer"), None)
     return Trajectory(
         raw=raw, blocks=tuple(blocks), answer=answer, grammar_violations=tuple(issues)
     )
@@ -223,7 +187,7 @@ def parse_trajectory(raw: str) -> Trajectory:
 
 def extract_formats(traj: Trajectory) -> list[tuple[str, str]]:
     """Format blocks only, in document order, names and bodies verbatim."""
-    return [(b.format_name, b.content) for b in traj.format_blocks()]
+    return [(b["format_name"], b["content"]) for b in traj.blocks if b["kind"] == "format"]
 
 
 class DocIndex:
@@ -260,29 +224,31 @@ def validate(traj: Trajectory, index: DocIndex) -> ValidationReport:
 
     answer_seen = False
     for b in traj.blocks:
-        if b.kind is BlockKind.FORMAT:
-            if b.format_name == PLACEHOLDER_FORMAT_NAME or PLACEHOLDER_FORMAT_BODY in b.content:
+        content = b["content"]
+        span = tuple(b["span"])
+        if b["kind"] == "format":
+            if b["format_name"] == PLACEHOLDER_FORMAT_NAME or PLACEHOLDER_FORMAT_BODY in content:
                 violations.append(
-                    Violation(Rule.PLACEHOLDER_FORMAT, b.span, "placeholder format block")
+                    Violation(Rule.PLACEHOLDER_FORMAT, span, "placeholder format block")
                 )
-            if not b.content.strip():
+            if not content.strip():
                 violations.append(
-                    Violation(Rule.EMPTY_FORMAT_BODY, b.span, f"format {b.format_name!r} has no body")
+                    Violation(Rule.EMPTY_FORMAT_BODY, span, f"format {b['format_name']!r} has no body")
                 )
-            if index.copied_in(b.content):
+            if index.copied_in(content):
                 violations.append(
                     Violation(
                         Rule.COPIED_CONTENT,
-                        b.span,
+                        span,
                         f"format body repeats a {COPY_NGRAM}-token run from a source document",
                     )
                 )
-        elif b.kind is BlockKind.ANSWER and not answer_seen:
+        elif b["kind"] == "answer" and not answer_seen:
             answer_seen = True
-            answer = b.content.strip()
+            answer = content.strip()
             if not answer or answer == PLACEHOLDER_ANSWER_TEXT:
                 violations.append(
-                    Violation(Rule.PLACEHOLDER_ANSWER, b.span, "placeholder or empty answer")
+                    Violation(Rule.PLACEHOLDER_ANSWER, span, "placeholder or empty answer")
                 )
     if not answer_seen:
         violations.append(

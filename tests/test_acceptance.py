@@ -34,7 +34,6 @@ from structrl.rollout import (
     write_rollout_jsonl,
 )
 from structrl.trajectory import (
-    BlockKind,
     DocIndex,
     extract_formats,
     parse_trajectory,
@@ -60,7 +59,7 @@ def test_criterion_1_golden_parse(golden_trace, golden_docs, golden_golds):
         traj = parse_trajectory(golden_trace)
         assert len(traj.blocks) == 6
         format_names = [
-            b.format_name for b in traj.blocks if b.kind is BlockKind.FORMAT
+            b["format_name"] for b in traj.blocks if b["kind"] == "format"
         ]
         assert format_names == ["table", "date_comparison"]
         report = validate(traj, DocIndex(golden_docs))

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from structrl import trajectory
 from structrl.trajectory import (
-    BlockKind,
     DocIndex,
     Rule,
     extract_formats,
@@ -18,16 +17,9 @@ from structrl.trajectory import (
 class TestParse:
     def test_golden_trace_block_sequence(self, golden_trace):
         traj = parse_trajectory(golden_trace)
-        kinds = [b.kind for b in traj.blocks]
-        assert kinds == [
-            BlockKind.THINK,
-            BlockKind.FORMAT,
-            BlockKind.THINK,
-            BlockKind.FORMAT,
-            BlockKind.THINK,
-            BlockKind.ANSWER,
-        ]
-        names = [b.format_name for b in traj.blocks if b.kind is BlockKind.FORMAT]
+        kinds = [b["kind"] for b in traj.blocks]
+        assert kinds == ["think", "format", "think", "format", "think", "answer"]
+        names = [b["format_name"] for b in traj.blocks if b["kind"] == "format"]
         assert names == ["table", "date_comparison"]
         assert traj.answer == "Así en el cielo como en la tierra"
 
@@ -47,11 +39,11 @@ class TestParse:
 
     def test_mismatched_format_name_skipped(self):
         traj = parse_trajectory("<think>a</think><format: table>x</format: graph>")
-        assert [b.kind for b in traj.blocks] == [BlockKind.THINK]
+        assert [b["kind"] for b in traj.blocks] == ["think"]
 
     def test_unclosed_tag_recovers_following_blocks(self):
         traj = parse_trajectory("<think>open<answer>42</answer>")
-        assert [b.kind for b in traj.blocks] == [BlockKind.ANSWER]
+        assert [b["kind"] for b in traj.blocks] == ["answer"]
         assert traj.answer == "42"
 
     def test_first_answer_wins(self):
@@ -61,11 +53,11 @@ class TestParse:
 
     def test_format_name_whitespace_trimmed(self):
         traj = parse_trajectory("<format:  table >x</format: table>")
-        assert traj.blocks[0].format_name == "table"
+        assert traj.blocks[0]["format_name"] == "table"
 
     def test_bad_format_name_not_a_tag(self):
         traj = parse_trajectory("<format: a=b>x</format: a=b><answer>y</answer>")
-        assert [b.kind for b in traj.blocks] == [BlockKind.ANSWER]
+        assert [b["kind"] for b in traj.blocks] == ["answer"]
 
     def test_text_outside_blocks_ignored(self):
         traj = parse_trajectory("preamble <think>t</think> middle <answer>a</answer> end")
@@ -74,7 +66,7 @@ class TestParse:
     def test_span_covers_whole_tag_region(self):
         raw = "xx<think>body</think>yy"
         block = parse_trajectory(raw).blocks[0]
-        start, end = block.span
+        start, end = block["span"]
         assert raw[start:end] == "<think>body</think>"
 
     def test_grammar_violations_kept_but_not_serialized(self):
@@ -84,8 +76,7 @@ class TestParse:
 
     def test_block_serialization_field_names(self):
         block = parse_trajectory("<format: t>x</format: t>").blocks[0]
-        d = block.to_dict()
-        assert set(d) == {"kind", "format_name", "content", "span"}
+        assert list(block) == ["kind", "format_name", "content", "span"]
 
 
 @st.composite
@@ -117,18 +108,18 @@ class TestParseProperties:
         traj = parse_trajectory(raw)
         last_end = 0
         for block in traj.blocks:
-            start, end = block.span
+            start, end = block["span"]
             assert start >= last_end
-            assert block.content in raw[start:end]
+            assert block["content"] in raw[start:end]
             last_end = end
 
     @given(trajectory_texts())
     def test_extract_formats_is_format_subsequence(self, raw):
         traj = parse_trajectory(raw)
         expected = [
-            (b.format_name, b.content)
+            (b["format_name"], b["content"])
             for b in traj.blocks
-            if b.kind is BlockKind.FORMAT
+            if b["kind"] == "format"
         ]
         assert extract_formats(traj) == expected
 
@@ -151,7 +142,6 @@ def quadratic_scan(raw):
             break
         tag = m.group(0)
         if tag == "<think>" or tag == "<answer>":
-            kind = t.BlockKind.THINK if tag == "<think>" else t.BlockKind.ANSWER
             close = f"</{tag[1:]}"
             end = raw.find(close, m.end())
             if end == -1:
@@ -160,7 +150,8 @@ def quadratic_scan(raw):
                 )
                 pos = m.end()
                 continue
-            blocks.append(t.Block(kind, raw[m.end() : end], (m.start(), end + len(close))))
+            blocks.append({"kind": tag[1:-1], "format_name": None,
+                           "content": raw[m.end() : end], "span": [m.start(), end + len(close)]})
             pos = end + len(close)
         else:
             name = m.group(1).strip()
@@ -187,14 +178,8 @@ def quadratic_scan(raw):
                 )
                 pos = cm.end()
                 continue
-            blocks.append(
-                t.Block(
-                    t.BlockKind.FORMAT,
-                    raw[m.end() : cm.start()],
-                    (m.start(), cm.end()),
-                    format_name=name,
-                )
-            )
+            blocks.append({"kind": "format", "format_name": name,
+                           "content": raw[m.end() : cm.start()], "span": [m.start(), cm.end()]})
             pos = cm.end()
     return blocks, issues
 
