@@ -99,10 +99,7 @@ class MockBackend:
                     break
             else:
                 # the same call misses again, so retrying cannot help
-                raise BackendError(
-                    f"no fixture {digest}.txt and no matching rule in {self.fixtures_dir}",
-                    retryable=False,
-                )
+                raise BackendError(f"no fixture {digest}.txt and no matching rule", retryable=False)
         return Generation(text, _synthetic_logprobs(digest, text))
 
 

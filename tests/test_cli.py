@@ -270,6 +270,22 @@ class TestRolloutCommand:
         for name in ("rollouts.jsonl", "training_signals.jsonl"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_failed_pairs_do_not_depend_on_how_the_fixture_path_is_spelled(
+        self, tmp_path, monkeypatch
+    ):
+        write_digest_fixtures(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        relative = run_rollout_cli(
+            tmp_path, Path("dataset.jsonl"), Path("fixtures"), "relative", extra=["--k", "4"]
+        )
+        absolute = run_rollout_cli(
+            tmp_path, tmp_path / "dataset.jsonl", tmp_path / "fixtures", "absolute",
+            extra=["--k", "4"],
+        )
+        records = read_rollout_jsonl(relative / "rollouts.jsonl")
+        assert [p["failure"] for r in records for p in r["pairs"] if p["failed"]]
+        assert (relative / "rollouts.jsonl").read_bytes() == (absolute / "rollouts.jsonl").read_bytes()
+
     def test_parallel_matches_serial(
         self, tmp_path, golden_trace, golden_docs, golden_golds
     ):
@@ -640,13 +656,11 @@ class TestScoreExport:
         assert not out.exists()
 
     @pytest.mark.parametrize("parallel", ["1", "2"])
-    def test_signal_bytes_are_pinned(self, tmp_path, monkeypatch, parallel):
+    def test_signal_bytes_are_pinned(self, tmp_path, parallel):
         """The rollout's two artifacts and a clipping score-export, pinned across versions."""
         write_digest_fixtures(tmp_path)
-        # the failed pair's message names the fixture directory as given
-        monkeypatch.chdir(tmp_path)
         out_dir = run_rollout_cli(
-            tmp_path, Path("dataset.jsonl"), Path("fixtures"), "out",
+            tmp_path, tmp_path / "dataset.jsonl", tmp_path / "fixtures", "out",
             extra=["--k", "4", "--parallel", parallel],
         )
         clipped = tmp_path / "clipped.jsonl"
@@ -664,7 +678,7 @@ class TestScoreExport:
             for path in (out_dir / "rollouts.jsonl", out_dir / "training_signals.jsonl", clipped)
         }
         assert digests == {
-            "rollouts.jsonl": "1a47226ae0a5eb9e2778ef45d99c2793ebdd0a70d8a8a4b6566640886d82dc7e",
+            "rollouts.jsonl": "2440246d9d6bc1af70fe92dbd8b9b432c6fa11c10fb8de09cb4916f3cb88ddd7",
             "training_signals.jsonl": "7da2dfa78856311fcdce343e9254844fa9a2b114c67429219194a7de7a4b7f91",
             "clipped.jsonl": "207ae3adfedb4faeccdba47ee11b8a62383c2469d84ecc3e3cb1dfa0a6233c67",
         }

@@ -5,8 +5,8 @@ leaves behind.
 The workloads come from ``benches/workload.py``, imported read-only. The pins
 were computed before the writers streamed, when each artifact was written
 whole at the end, so they show that streaming changed no byte. Each test runs
-in its tmp dir with relative paths: a failed mock pair's ``failure`` names
-the fixture directory as given, and ``resolved_config.json`` records it.
+in its tmp dir with relative paths, because ``resolved_config.json`` records
+the dataset and fixture paths as given.
 """
 import hashlib
 import json
@@ -37,7 +37,7 @@ PINS = {
         "summary": "c2f7cd2bee633707b468e40eba7eeb884cbd29250a6d45b60ede4132d8c309ec",
     },
     "every-third-deleted": {
-        "rollouts.jsonl": "92c5bb3bed61ba7db5091bae4af9e3306bafeb3cd4570ee4b9c8a4ee85b65c47",
+        "rollouts.jsonl": "198c300f26b2fa47fe20ce244c6c7660605faa186b74677ca664ea50715e0cbc",
         "training_signals.jsonl": "b94b60df9c8bb1b6d5ae5f68112b03e7359c83c4ff9dcb4c9b1728937f1dba6d",
         "summary": "cb63fb557582614e301c429b4b5f0ad32ae6c2c5760c32d3eda045ce0fb2356a",
     },
