@@ -43,21 +43,22 @@ def _lambda_arg(text: str) -> float | str:
 
 # every run setting: name -> (type, default). The rollout flags, score-export's
 # --epsilon and --beta, the config-file checks and resolved_config.json all
-# come from this table.
+# come from this table. The defaults of the settings that RolloutConfig and
+# ObjectiveConfig also take are read from those classes.
 SETTINGS = {
     "backend": (str, "mock"),
     "endpoint": (str, None),
     "fixtures": (str, None),
     "model": (str, "default"),
-    "k": (int, 8),
+    "k": (int, RolloutConfig.k),
     "lambda": (_lambda_arg, 0.2),
-    "epsilon": (float, 0.2),
-    "beta": (float, 0.001),
-    "seed": (int, 0),
-    "parallel": (int, 1),
-    "temperature": (float, 1.0),
-    "max_tokens": (int, 1024),
-    "retries": (int, 2),
+    "epsilon": (float, ObjectiveConfig.epsilon),
+    "beta": (float, ObjectiveConfig.beta),
+    "seed": (int, RolloutConfig.base_seed),
+    "parallel": (int, RolloutConfig.parallelism),
+    "temperature": (float, RolloutConfig.temperature),
+    "max_tokens": (int, RolloutConfig.max_tokens),
+    "retries": (int, RolloutConfig.retries),
 }
 _SETTING_FLAGS = {f"--{name.replace('_', '-')}" for name in SETTINGS}
 # the JSON values a config file may give a setting of each type, never a bool;
