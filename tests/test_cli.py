@@ -29,6 +29,7 @@ from structrl.prompting import build_main_prompt, build_reinference_prompt
 from structrl.reward import LambdaSchedule
 from structrl.rollout import RolloutConfig, derive_seed, read_rollout_jsonl
 from structrl.trajectory import extract_formats, parse_trajectory
+from test_streamed_artifacts import _versions
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -285,6 +286,16 @@ class TestRolloutCommand:
         assert [p["failure"] for r in records for p in r["pairs"] if p["failed"]]
         assert (relative / "rollouts.jsonl").read_bytes() == (absolute / "rollouts.jsonl").read_bytes()
 
+    def test_dataset_of_blank_lines_writes_empty_artifacts(self, tmp_path, capsys):
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text("\n\n", "utf-8")
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        out_dir = run_rollout_cli(tmp_path, dataset, fixtures, "out")
+        assert capsys.readouterr().out == "groups=0 samples=0\n"
+        assert (out_dir / "rollouts.jsonl").read_bytes() == b""
+        assert (out_dir / "training_signals.jsonl").read_bytes() == b""
+
     def test_parallel_matches_serial(
         self, tmp_path, golden_trace, golden_docs, golden_golds
     ):
@@ -506,8 +517,13 @@ class TestRolloutCommand:
             ({"k": "3"}, 'config key \'k\' must be an integer, got "3"'),
             ({"parallel": [2]}, "config key 'parallel' must be an integer, got [2]"),
             ({"endpoint": 5}, "config key 'endpoint' must be a string, got 5"),
+            # too large for a float
+            ({"temperature": 10**400},
+             f"config key 'temperature' must be a number, got 1{'0' * 400}"),
+            ([{"k": 2}], "config must be a JSON object"),
         ],
-        ids=["k-null", "k-float", "k-bool", "k-string", "parallel-list", "endpoint-number"],
+        ids=["k-null", "k-float", "k-bool", "k-string", "parallel-list", "endpoint-number",
+             "temperature-overflow", "not-an-object"],
     )
     def test_config_value_of_the_wrong_type_exits_before_any_output(
         self, tmp_path, capsys, monkeypatch, golden_trace, golden_docs, golden_golds,
@@ -680,7 +696,7 @@ class TestScoreExport:
             "rollouts.jsonl": "2440246d9d6bc1af70fe92dbd8b9b432c6fa11c10fb8de09cb4916f3cb88ddd7",
             "training_signals.jsonl": "7da2dfa78856311fcdce343e9254844fa9a2b114c67429219194a7de7a4b7f91",
             "clipped.jsonl": "207ae3adfedb4faeccdba47ee11b8a62383c2469d84ecc3e3cb1dfa0a6233c67",
-        }
+        }, _versions()
 
     def test_empty_rollout_file(self, tmp_path, capsys):
         empty = tmp_path / "rollouts.jsonl"
@@ -862,7 +878,7 @@ class TestDensityCommand:
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "2d9bed83b9e19918dc53a8416a8d242879b578c73e57d39461224dbdd60d5c7a"
-        )
+        ), _versions()
 
     def test_negative_count_rejected(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -1044,6 +1060,7 @@ BAD_ROLLOUT_RECORDS = {
          "field 'context' must be a list of [title, [sentence, ...]] pairs"),
         ("convert-dataset", "--src", RAW_RECORD, {**RAW_RECORD, "context": [["T", ["s", 5]]]},
          "field 'context' must be a list of [title, [sentence, ...]] pairs"),
+        ("convert-dataset", "--src", RAW_RECORD, RAW_RECORD, "duplicate id 'a'"),
         *(
             (command, "--rollouts", ROLLOUT_RECORD, bad, message)
             for command in ("score-export", "sweep-lambda")
@@ -1055,6 +1072,7 @@ BAD_ROLLOUT_RECORDS = {
         "density-empty-body", "density-empty-raw", "density-no-raw-docs",
         "density-no-facts", "density-fact-without-tokens",
         "convert-answer-number", "convert-context-triple", "convert-context-number-sentence",
+        "convert-duplicate-id",
         *(
             f"{command}-{name}"
             for command in ("score-export", "sweep-lambda")
@@ -1195,6 +1213,14 @@ class TestConvertAndSample:
         assert capsys.readouterr().err == (
             f"error: {src} line 3: invalid JSON: Expecting ':' delimiter\n"
         )
+        assert not out.exists()
+
+    def test_json_array_holding_a_non_object_names_file(self, tmp_path, capsys):
+        src = tmp_path / "raw.json"
+        src.write_text(json.dumps([RAW_RECORD, 5]), "utf-8")
+        out = tmp_path / "converted.jsonl"
+        assert main(["convert-dataset", "--src", str(src), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {src}: record is not a JSON object\n"
         assert not out.exists()
 
     def dataset(self, tmp_path, n=10):

@@ -53,6 +53,13 @@ class TestLoad:
         with pytest.raises(ParseError, match="line 2: duplicate id 'q1'"):
             load_jsonl(path)
 
+    def test_line_that_is_not_an_object_names_file_and_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('["q1", "Q?"]\n', "utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_jsonl(path)
+        assert str(exc.value) == f"{path} line 1: record is not a JSON object"
+
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "d.jsonl"
         good = '{"id":"q1","question":"Q?","docs":["d"],"golden_answers":["a"]}'
