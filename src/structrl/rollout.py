@@ -11,7 +11,7 @@ concurrently, each re-inference call starting as soon as its own primary
 call returns.
 
 Both passes of every sample are validated against one `DocIndex` per query:
-the normalised n-grams of its documents, built when the group starts and
+the normalised text of its documents, built when the group starts and
 shared by all K samples. It is dropped with the group, so at most one index
 per worker is alive.
 

@@ -17,20 +17,27 @@ whitespace. Text outside well-formed blocks is ignored by the parser; broken
 regions (unclosed tags, mismatched format names) are found in the same single
 pass, kept on the trajectory and reported by `validate`.
 
-The copy check compares format bodies against a `DocIndex`, the normalised
-`COPY_NGRAM`-token n-gram set of a query's documents. A rollout builds one
-index per query and shares it across the K samples and both passes.
+The copy check looks for each `COPY_NGRAM`-token run of a format body, as
+exact text, in a `DocIndex`: the normalised text of a query's documents, as
+in the ExactSubstr deduplication of Lee et al. (arXiv 2107.06499). A rollout
+builds one index per query and shares it across the K samples and both
+passes.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
-from ._textnorm import norm_tokens
+from ._textnorm import normalize_text
 
 # a format body repeating this many consecutive document tokens is copied content
 COPY_NGRAM = 30
+# the most body windows x index characters that the copy check searches for
+# one window at a time; past it that search could take quadratic time, so the
+# check matches a set of the body's windows against the documents' windows
+_SEARCH_BUDGET = 1 << 20
 
 FORMAT_NAME_RE = re.compile(r"^[A-Za-z0-9_\- ]+$")
 
@@ -190,27 +197,33 @@ def extract_formats(traj: Trajectory) -> list[tuple[str, str]]:
     return [(b["format_name"], b["content"]) for b in traj.blocks if b["kind"] == "format"]
 
 
-class DocIndex:
-    """Normalised `COPY_NGRAM`-token n-grams of a document set, built once per set.
+def _windows(norm: str) -> list[str]:
+    """Each `COPY_NGRAM`-token run of a normalised text, padded with spaces,
+    cut as one slice of the padded text at token offsets."""
+    padded = f" {norm} "
+    cuts = list(accumulate((len(t) + 1 for t in norm.split()), initial=0))
+    return [padded[a : b + 1] for a, b in zip(cuts, cuts[COPY_NGRAM:])]
 
-    Answers whether a text repeats such a run from any of the documents.
+
+class DocIndex:
+    """The normalised text of a document set, built once per set.
+
+    Each document is padded with spaces and the documents are joined by
+    newlines. Tokens hold no whitespace, so a space-padded run of tokens
+    occurs in the joined text exactly when it is a run of one document.
     """
 
     def __init__(self, docs: tuple[str, ...] | list[str]) -> None:
-        n = COPY_NGRAM
-        self.grams: set[tuple[str, ...]] = set()
-        for doc in docs:
-            toks = norm_tokens(doc)
-            for i in range(len(toks) - n + 1):
-                self.grams.add(tuple(toks[i : i + n]))
+        self.docs = [normalize_text(doc) for doc in docs]
+        self.text = "\n".join(f" {norm} " for norm in self.docs)
 
     def copied_in(self, text: str) -> bool:
-        """True when any contiguous normalised n-gram of the documents is in text."""
-        if not self.grams:
-            return False
-        toks = norm_tokens(text)
-        n = COPY_NGRAM
-        return any(tuple(toks[i : i + n]) in self.grams for i in range(len(toks) - n + 1))
+        """True when text repeats a `COPY_NGRAM`-token run of any one document."""
+        windows = _windows(normalize_text(text))
+        if len(windows) * len(self.text) <= _SEARCH_BUDGET:
+            return any(w in self.text for w in windows)
+        body = set(windows)
+        return any(w in body for doc in self.docs for w in _windows(doc))
 
 
 def validate(traj: Trajectory, index: DocIndex) -> ValidationReport:

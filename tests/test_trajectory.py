@@ -1,10 +1,12 @@
 import string
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from structrl import trajectory
+from structrl._textnorm import norm_tokens
 from structrl.trajectory import (
     DocIndex,
     Rule,
@@ -317,3 +319,77 @@ class TestCopyDetection:
         doc = " ".join(f"w{i}" for i in range(35))
         edited = doc.upper().replace(" ", ",  ")
         assert DocIndex([doc]).copied_in(edited)
+
+    # budget 0 forces the set of body windows, the path of long bodies
+    @pytest.mark.parametrize("budget", [trajectory._SEARCH_BUDGET, 0], ids=["search", "set"])
+    def test_a_run_across_two_documents_is_not_copied(self, monkeypatch, budget):
+        monkeypatch.setattr(trajectory, "_SEARCH_BUDGET", budget)
+        words = [f"w{i}" for i in range(40)]
+        docs = [" ".join(words[:20]), " ".join(words[20:])]
+        assert not DocIndex(docs).copied_in(" ".join(words))
+        assert DocIndex([" ".join(words)]).copied_in(" ".join(words))
+
+    @pytest.mark.parametrize("budget", [trajectory._SEARCH_BUDGET, 0], ids=["search", "set"])
+    def test_a_run_of_parts_of_tokens_is_not_copied(self, monkeypatch, budget):
+        monkeypatch.setattr(trajectory, "_SEARCH_BUDGET", budget)
+        middle = " ".join(f"w{i}" for i in range(trajectory.COPY_NGRAM - 2))
+        index = DocIndex([f"river {middle} rivers"])
+        assert not index.copied_in(f"iver {middle} river")
+        assert index.copied_in(f"river {middle} rivers")
+
+
+def ngram_set_copied_in(docs, text):
+    """The copy check as a set of every document n-gram, the reference for
+    `DocIndex.copied_in`."""
+    n = trajectory.COPY_NGRAM
+    grams = {tuple(t[i : i + n]) for t in map(norm_tokens, docs) for i in range(len(t) - n + 1)}
+    toks = norm_tokens(text)
+    return any(tuple(toks[i : i + n]) in grams for i in range(len(toks) - n + 1))
+
+
+# few words, so runs repeat; articles and punctuation vanish when normalised
+COPY_WORDS = [
+    "a", "THE", "-", "river", "River,", "city", "(city)", "born", "1897", "it's", "x.y", "on", "of",
+]
+
+
+@st.composite
+def docs_and_body(draw):
+    """Documents, and a body spliced from slices of them and from free words,
+    with one-token edits and case and separator noise, so hits are common."""
+    words = st.sampled_from(COPY_WORDS)
+    docs = draw(st.lists(st.lists(words, min_size=50, max_size=100), min_size=1, max_size=3))
+    body = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 3)):  # three pieces in four are document slices
+            doc = draw(st.sampled_from(docs))
+            start = draw(st.integers(0, len(doc) - 30))
+            body += doc[start : start + draw(st.integers(40, 100))]
+        else:
+            body += draw(st.lists(words, max_size=40))
+    for _ in range(draw(st.integers(0, 2)) if body else 0):
+        body[draw(st.integers(0, len(body) - 1))] = draw(words)
+    case = draw(st.sampled_from([str, str.upper, str.title]))
+    sep = draw(st.sampled_from([" ", ",  ", "\n", " -- "]))
+    return [" ".join(doc) for doc in docs], sep.join(case(w) for w in body)
+
+
+@pytest.mark.parametrize("budget", [trajectory._SEARCH_BUDGET, 0], ids=["search", "set"])
+@given(docs_and_body())
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_copy_check_equals_the_ngram_set_reference(monkeypatch, budget, case):
+    monkeypatch.setattr(trajectory, "_SEARCH_BUDGET", budget)
+    docs, body = case
+    assert DocIndex(docs).copied_in(body) == ngram_set_copied_in(docs, body)
+
+
+def test_copy_check_of_a_long_body_is_not_quadratic():
+    """One word repeated, broken every 29 tokens so that no run is copied.
+    One substring search per body window takes about 2 s here on a 2-vCPU
+    machine; the check takes about 0.015 s."""
+    doc = " ".join(["w"] * 4000)
+    body = " ".join("x" if i % 30 == 0 else "w" for i in range(1, 30_001))
+    index = DocIndex([doc])
+    start = time.perf_counter()
+    assert not index.copied_in(body)
+    assert time.perf_counter() - start < 0.5
