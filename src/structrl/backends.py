@@ -71,7 +71,8 @@ class MockBackend:
     """Deterministic backend reading responses from a fixture directory.
 
     Resolution order for a call with digest d = prompt_digest(prompt, seed):
-      1. ``<fixtures>/<d>.txt`` verbatim;
+      1. ``<fixtures>/<d>.txt`` verbatim; one that is not UTF-8 text is a
+         BackendError, not retryable;
       2. first entry of ``<fixtures>/rules.json`` (a JSON array of
          ``{"contains": ..., "response": ...}``) whose substring appears in
          the prompt;
@@ -89,10 +90,9 @@ class MockBackend:
 
     def generate(self, prompt: str, sampling: SamplingParams) -> Generation:
         digest = prompt_digest(prompt, sampling.seed)
-        fixture = self.fixtures_dir / f"{digest}.txt"
-        if fixture.exists():
-            text = fixture.read_text("utf-8")
-        else:
+        try:
+            text = (self.fixtures_dir / f"{digest}.txt").read_text("utf-8")
+        except FileNotFoundError:
             for rule in self._rules:
                 if rule["contains"] in prompt:
                     text = rule["response"]
@@ -100,6 +100,8 @@ class MockBackend:
             else:
                 # the same call misses again, so retrying cannot help
                 raise BackendError(f"no fixture {digest}.txt and no matching rule", retryable=False)
+        except UnicodeDecodeError:
+            raise BackendError(f"fixture {digest}.txt is not UTF-8 text", retryable=False)
         return Generation(text, _synthetic_logprobs(digest, text))
 
 

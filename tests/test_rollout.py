@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structrl import rollout
-from structrl.backends import MockBackend
+from structrl.backends import MockBackend, prompt_digest
+from structrl.cli import main
 from structrl.dataset import QueryInstance
 from structrl.errors import BackendError
 from structrl.grpo import group_advantages
+from structrl.prompting import build_main_prompt
 from structrl.reward import LambdaSchedule, combined_reward
 from structrl.rollout import (
     RolloutConfig,
@@ -121,6 +123,38 @@ class TestRolloutOne:
         group = rollout_one(query, 0, backend, RolloutConfig(k=2, retries=2))
         assert all(p.failed for p in group.pairs)
         assert len(calls) == 2
+
+    def test_fixture_that_is_not_utf8_fails_only_its_pair(self, tmp_path):
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        queries = [{"id": f"q{q}", "question": "capital?", "docs": [f"doc {q}"],
+                    "golden_answers": ["Rome"]} for q in range(2)]
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text("".join(json.dumps(r) + "\n" for r in queries), "utf-8")
+        digests = {}
+        for r in queries:
+            prompt = build_main_prompt(r["question"], r["docs"])
+            for s in range(2):
+                digests[r["id"], s] = digest = prompt_digest(prompt, derive_seed(r["id"], s, 0))
+                (fixtures / f"{digest}.txt").write_text(f"<answer> Rome {s} </answer>", "utf-8")
+
+        def pairs(out):
+            args = ["rollout", "--dataset", str(dataset), "--fixtures", str(fixtures),
+                    "--k", "2", "--out", str(tmp_path / out)]
+            assert main(args) == 0
+            records = read_rollout_jsonl(tmp_path / out / "rollouts.jsonl")
+            return {(r["query"]["id"], s): p for r in records for s, p in enumerate(r["pairs"])}
+
+        valid = pairs("valid")
+        bad = digests["q0", 1]
+        (fixtures / f"{bad}.txt").write_bytes(b"<answer> Rome \xff </answer>")
+        broken = pairs("broken")
+        assert broken.pop(("q0", 1))["failure"] == (
+            f"primary generation: fixture {bad}.txt is not UTF-8 text"
+        )
+        del valid["q0", 1]
+        assert broken == valid
+        assert not any(p["failed"] for p in valid.values())
 
     @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pool"])
     def test_main_prompt_built_once_per_query(
