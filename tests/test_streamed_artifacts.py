@@ -2,9 +2,11 @@
 disk, on the benchmark's workload shapes, and what an interrupted rollout
 leaves behind.
 
-The workloads come from ``benches/workload.py``, imported read-only. The pins
-were computed before the writers streamed, when each artifact was written
-whole at the end, so they show that streaming changed no byte. Each test runs
+The workloads come from ``benches/workload.py``, imported read-only. The
+mock-k8 pins were computed before the writers streamed, when each artifact
+was written whole at the end, so they show that streaming changed no byte.
+The offline-shape pins were computed while the copy check still built a set
+of 30-token tuples, so they show that its substring search changed no byte. Each test runs
 in its tmp dir with relative paths, because ``resolved_config.json`` records
 the dataset and fixture paths as given.
 """
@@ -42,7 +44,15 @@ PINS = {
         "summary": "cb63fb557582614e301c429b4b5f0ad32ae6c2c5760c32d3eda045ce0fb2356a",
     },
 }
-# resolved_config.json records --parallel, and nothing that the fixtures change
+# the same for a rollout on the offline benchmark's shape, every fixture
+OFFLINE_PINS = {
+    "rollouts.jsonl": "a6233d457133f9c61a7bef53303160c0726e3987fa0fd575ab87457c8038f0a6",
+    "training_signals.jsonl": "51ae55364a8eb23022c3f0bc5764cf3b8de9a4f3759df6dd7c073aa11bb1d2ce",
+    "summary": "0b89415ca0848c42be2afb1ccb064d1abe8de5e9fe3e1111525b62c7a7677b5e",
+}
+OFFLINE = workload.Shape(queries=48, docs=10, doc_tokens=(80, 200))
+# resolved_config.json records --parallel, and nothing that the fixtures or
+# the shape change
 CONFIG_PINS = {
     "1": "1fca438333c1f0d4702a200e830f322831a540a70755d9960542f54efe24c4cc",
     "2": "35c7f3cb384cb1f71482774be42b3924349cc596f10b8d3eadb04984759a134c",
@@ -53,6 +63,14 @@ DENSITY_PIN = "33e6e584861ebdada04c8d6e193ac4091910624793637d59723efcaac2a6b2e9"
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _digests(out: Path, summary: bytes) -> dict[str, str]:
+    return {
+        "rollouts.jsonl": _sha((out / "rollouts.jsonl").read_bytes()),
+        "training_signals.jsonl": _sha((out / "training_signals.jsonl").read_bytes()),
+        "summary": _sha(summary),
+    }
 
 
 def _versions() -> str:
@@ -83,12 +101,7 @@ def test_mock_rollout_bytes_are_pinned(tmp_path, monkeypatch, capsys, fixtures, 
     records = [json.loads(line) for line in (out / "rollouts.jsonl").read_text("utf-8").splitlines()]
     failed = sum(p["failed"] for r in records for p in r["pairs"])
     assert (failed > 0) == (fixtures == "every-third-deleted")
-    digests = {
-        "rollouts.jsonl": _sha((out / "rollouts.jsonl").read_bytes()),
-        "training_signals.jsonl": _sha((out / "training_signals.jsonl").read_bytes()),
-        "summary": _sha(summary.encode("utf-8")),
-    }
-    assert digests == PINS[fixtures], _versions()
+    assert _digests(out, summary.encode("utf-8")) == PINS[fixtures], _versions()
     assert _sha((out / "resolved_config.json").read_bytes()) == CONFIG_PINS[parallel], _versions()
     # score-export rebuilds the streamed signal lines from the records read back
     assert main(["score-export", "--rollouts", "out/rollouts.jsonl", "--out", "signals.jsonl"]) == 0
@@ -111,13 +124,17 @@ def test_rollout_in_a_fresh_interpreter_is_pinned(tmp_path, monkeypatch):
         timeout=300,
         check=True,
     )
+    assert _digests(Path("out"), run.stdout) == PINS["every-fixture"], _versions()
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_offline_shape_rollout_bytes_are_pinned(tmp_path, monkeypatch, capsys, parallel):
+    monkeypatch.chdir(tmp_path)
+    workload.generate("w", SEED, OFFLINE)
+    assert _rollout("out", parallel) == 0
     out = Path("out")
-    digests = {
-        "rollouts.jsonl": _sha((out / "rollouts.jsonl").read_bytes()),
-        "training_signals.jsonl": _sha((out / "training_signals.jsonl").read_bytes()),
-        "summary": _sha(run.stdout),
-    }
-    assert digests == PINS["every-fixture"], _versions()
+    assert _digests(out, capsys.readouterr().out.encode("utf-8")) == OFFLINE_PINS, _versions()
+    assert _sha((out / "resolved_config.json").read_bytes()) == CONFIG_PINS[parallel], _versions()
 
 
 def test_synthetic_density_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
