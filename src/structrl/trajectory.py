@@ -200,8 +200,11 @@ def extract_formats(traj: Trajectory) -> list[tuple[str, str]]:
 def _windows(norm: str) -> list[str]:
     """Each `COPY_NGRAM`-token run of a normalised text, padded with spaces,
     cut as one slice of the padded text at token offsets."""
+    tokens = norm.split()
+    if len(tokens) < COPY_NGRAM:
+        return []  # most format bodies are shorter than one window
     padded = f" {norm} "
-    cuts = list(accumulate((len(t) + 1 for t in norm.split()), initial=0))
+    cuts = list(accumulate((len(t) + 1 for t in tokens), initial=0))
     return [padded[a : b + 1] for a, b in zip(cuts, cuts[COPY_NGRAM:])]
 
 
