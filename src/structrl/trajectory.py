@@ -36,7 +36,7 @@ from ._textnorm import normalize_text
 COPY_NGRAM = 30
 # the most body windows x index characters that the copy check searches for
 # one window at a time; past it that search could take quadratic time, so the
-# check matches a set of the body's windows against the documents' windows
+# check looks the body's windows up in a set of the documents' windows
 _SEARCH_BUDGET = 1 << 20
 
 FORMAT_NAME_RE = re.compile(r"^[A-Za-z0-9_\- ]+$")
@@ -213,20 +213,26 @@ class DocIndex:
 
     Each document is padded with spaces and the documents are joined by
     newlines. Tokens hold no whitespace, so a space-padded run of tokens
-    occurs in the joined text exactly when it is a run of one document.
+    occurs in the joined text exactly when it is a run of one document. A
+    long body is looked up in the set of the documents' windows instead,
+    built on first use and kept with the index.
     """
 
     def __init__(self, docs: tuple[str, ...] | list[str]) -> None:
         self.docs = [normalize_text(doc) for doc in docs]
         self.text = "\n".join(f" {norm} " for norm in self.docs)
+        # built by the first body past the search budget; samples sharing the
+        # index may build it at once, and every build gives the same set
+        self._doc_windows: set[str] | None = None
 
     def copied_in(self, text: str) -> bool:
         """True when text repeats a `COPY_NGRAM`-token run of any one document."""
         windows = _windows(normalize_text(text))
         if len(windows) * len(self.text) <= _SEARCH_BUDGET:
             return any(w in self.text for w in windows)
-        body = set(windows)
-        return any(w in body for doc in self.docs for w in _windows(doc))
+        if self._doc_windows is None:
+            self._doc_windows = {w for doc in self.docs for w in _windows(doc)}
+        return not self._doc_windows.isdisjoint(windows)
 
 
 def validate(traj: Trajectory, index: DocIndex) -> ValidationReport:
