@@ -17,11 +17,10 @@ whitespace. Text outside well-formed blocks is ignored by the parser; broken
 regions (unclosed tags, mismatched format names) are found in the same single
 pass, kept on the trajectory and reported by `validate`.
 
-The copy check looks for each `COPY_NGRAM`-token run of a format body, as
-exact text, in a `DocIndex`: the normalised text of a query's documents, as
-in the ExactSubstr deduplication of Lee et al. (arXiv 2107.06499). A rollout
-builds one index per query and shares it across the K samples and both
-passes.
+The copy check searches a `DocIndex`, the normalised text of a query's
+documents, for each `COPY_NGRAM`-token run of a format body as exact text, as
+ExactSubstr does (arXiv 2107.06499). A rollout builds one index per query and
+shares it across the K samples and both passes.
 """
 from __future__ import annotations
 
@@ -34,9 +33,8 @@ from ._textnorm import normalize_text
 
 # a format body repeating this many consecutive document tokens is copied content
 COPY_NGRAM = 30
-# the most body windows x index characters that the copy check searches for
-# one window at a time; past it that search could take quadratic time, so the
-# check looks the body's windows up in a set of the documents' windows
+# past this many body windows x index characters, one search per window could
+# take quadratic time, so the body's windows are looked up in a set instead
 _SEARCH_BUDGET = 1 << 20
 
 FORMAT_NAME_RE = re.compile(r"^[A-Za-z0-9_\- ]+$")
@@ -213,9 +211,8 @@ class DocIndex:
 
     Each document is padded with spaces and the documents are joined by
     newlines. Tokens hold no whitespace, so a space-padded run of tokens
-    occurs in the joined text exactly when it is a run of one document. A
-    long body is looked up in the set of the documents' windows instead,
-    built on first use and kept with the index.
+    occurs in the joined text exactly when it is a run of one document.
+    Long bodies are looked up in a set of the documents' windows, built once.
     """
 
     def __init__(self, docs: tuple[str, ...] | list[str]) -> None:
