@@ -6,9 +6,9 @@ The workloads come from ``benches/workload.py``, imported read-only. The
 mock-k8 pins were computed before the writers streamed, when each artifact
 was written whole at the end, so they show that streaming changed no byte.
 The offline-shape pins were computed while the copy check still built a set
-of 30-token tuples, so they show that its substring search changed no byte. Each test runs
-in its tmp dir with relative paths, because ``resolved_config.json`` records
-the dataset and fixture paths as given.
+of 30-token tuples, so they show that its substring search changed no byte.
+Each test runs in its tmp dir with relative paths, because
+``resolved_config.json`` records the dataset and fixture paths as given.
 """
 import hashlib
 import json
