@@ -14,6 +14,7 @@ import hashlib
 import http.client
 import json
 import os
+import selectors
 import ssl
 import threading
 from dataclasses import dataclass
@@ -112,6 +113,12 @@ TIMEOUT_S = 120.0
 # how a reused socket fails before any response when the server closed it
 # while it sat idle between calls
 _STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+# fresh connections that may wait for a first answer at once: fewer than the 5
+# unaccepted ones that Python's socketserver queues, since the kernel drops a
+# connection attempt that finds the queue full and resends it only after 1 s
+_OPENING = 4
+# a fresh connection stops counting once it has waited this long for an answer
+_OPEN_WAIT_S = 0.1
 
 
 class _Kept:
@@ -136,7 +143,9 @@ class HTTPBackend:
 
     Each thread keeps one kept-alive ``http.client`` connection. When the
     server has closed a reused connection before answering, the request is
-    sent once more on a fresh one. Proxy variables, netrc and credentials in
+    sent once more on a fresh one. At most ``_OPENING`` fresh connections wait
+    for their first answer at once, each for up to ``_OPEN_WAIT_S``, so the
+    burst of a rollout's first calls does not overflow a short listen queue. Proxy variables, netrc and credentials in
     the URL are not used, and redirects are not followed. An endpoint that is
     not an http(s) URL is rejected here. A 4xx response other than 429
     raises a BackendError that is not retryable, and so does a 200 response
@@ -165,6 +174,7 @@ class HTTPBackend:
         # one context for every thread's connection; building one loads the CA store
         self._ssl = ssl.create_default_context() if https else None
         self._local = threading.local()
+        self._opening = threading.BoundedSemaphore(_OPENING)
 
     def _connect(self) -> http.client.HTTPConnection:
         if self._ssl is None:
@@ -193,19 +203,30 @@ class HTTPBackend:
         conn.request("POST", self._target, data, self._headers())
         return conn.getresponse()
 
+    def _send_fresh(self, data: bytes) -> http.client.HTTPResponse:
+        """POST ``data`` on a new connection, holding an opening slot until
+        the server starts to answer or ``_OPEN_WAIT_S`` has passed."""
+        with self._opening:
+            conn = self._connect()
+            conn.request("POST", self._target, data, self._headers())
+            with selectors.DefaultSelector() as answered:
+                answered.register(conn.sock, selectors.EVENT_READ)
+                answered.select(_OPEN_WAIT_S)
+        return conn.getresponse()
+
     def _post(self, data: bytes) -> tuple[http.client.HTTPResponse, bytes]:
         """POST ``data`` through this thread's connection; return the response and body."""
         kept = getattr(self._local, "kept", None)
         try:
             if kept is None:
-                resp = self._send(self._connect(), data)
+                resp = self._send_fresh(data)
             else:
                 try:
                     resp = self._send(kept.conn, data)
                 except _STALE:
                     # the server closed the kept-alive socket before answering
                     kept.conn.close()
-                    resp = self._send(self._connect(), data)
+                    resp = self._send_fresh(data)
             body = resp.read()
         except BaseException:
             self._drop()

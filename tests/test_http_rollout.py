@@ -16,6 +16,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from structrl import backends
 from structrl.backends import HTTPBackend, MockBackend, SamplingParams, prompt_digest
 from structrl.cli import main
 from structrl.dataset import QueryInstance
@@ -139,8 +140,8 @@ def write_fixtures(tmp_path):
 
 class Server(ThreadingHTTPServer):
     daemon_threads = True
-    # a --parallel 4 rollout opens up to 16 connections at once; the default
-    # backlog of 5 overflows and the kernel drops or resets some of them
+    # longer than socketserver's 5, so that no test depends on the client
+    # opening its connections a few at a time
     request_queue_size = 64
 
 
@@ -150,13 +151,18 @@ def serve(tmp_path):
     servers = []
 
     def start(
-        status: int | None = None, body: bytes = b'{"error": "fixed"}', keep_alive: bool = False
+        status: int | None = None,
+        body: bytes = b'{"error": "fixed"}',
+        keep_alive: bool = False,
+        backlog: int = Server.request_queue_size,
     ) -> tuple[str, Stub]:
         # HTTP/1.0 closes the connection after each response; HTTP/1.1 keeps it open
         protocol = "HTTP/1.1" if keep_alive else "HTTP/1.0"
         handler = type("BoundHandler", (Handler,), {"protocol_version": protocol})
         handler.stub = Stub(MockBackend(write_fixtures(tmp_path)), status, body)
-        server = Server(("127.0.0.1", 0), handler)
+        server = type("BoundServer", (Server,), {"request_queue_size": backlog})(
+            ("127.0.0.1", 0), handler
+        )
         thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
         thread.start()
         servers.append((server, thread))
@@ -284,3 +290,57 @@ def test_connection_the_server_closed_is_replaced_once(serve):
         assert backend.generate(prompt, SamplingParams(seed=1)).text == "<answer> Rome </answer>"
         assert stub.requests == calls
     assert sorted(stub.per_connection.values()) == [1, 1]
+
+
+def first_calls(backend: HTTPBackend, n: int) -> list[float]:
+    """n threads each make one call at once, on a fresh connection; returns
+    the seconds of each call."""
+    prompt = build_main_prompt("question 0?", ["alpha0 doc"])
+    start, done = threading.Barrier(n), threading.Barrier(n)
+    texts: list[str] = []
+    seconds: list[float] = []
+
+    def work():
+        start.wait(timeout=10)
+        began = time.perf_counter()
+        try:
+            texts.append(backend.generate(prompt, SamplingParams(seed=1)).text)
+        except BackendError as exc:
+            texts.append(str(exc))
+        seconds.append(time.perf_counter() - began)
+        done.wait(timeout=30)  # no client port is freed and reused by another thread
+
+    threads = [threading.Thread(target=work) for _ in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert texts == ["<answer> Rome </answer>"] * n
+    return seconds
+
+
+def test_fresh_connections_wait_for_a_first_answer_a_few_at_a_time(serve, monkeypatch):
+    # without the time limit, a fifth fresh connection is opened only once
+    # one of the first four has been answered
+    monkeypatch.setattr(backends, "_OPEN_WAIT_S", 60.0)
+    endpoint, stub = serve(keep_alive=True)
+    first_calls(HTTPBackend(endpoint=endpoint), 12)
+    assert len(stub.per_connection) == 12
+    assert stub.max_in_flight <= backends._OPENING
+
+
+def test_a_slow_first_answer_frees_its_opening_slot(serve, monkeypatch):
+    # each fresh connection holds its slot for _OPEN_WAIT_S at most, so the
+    # next ones go out before a slow server has answered the first ones
+    monkeypatch.setitem(globals(), "DELAY_S", 0.5)
+    endpoint, stub = serve(keep_alive=True)
+    first_calls(HTTPBackend(endpoint=endpoint), 8)
+    assert stub.max_in_flight > backends._OPENING
+
+
+def test_a_burst_of_first_calls_fits_a_default_listen_queue(serve):
+    # socketserver queues 5 unaccepted connections; the kernel drops an
+    # attempt that finds the queue full and resends it only after 1 s
+    endpoint, _ = serve(keep_alive=True, backlog=5)
+    assert max(first_calls(HTTPBackend(endpoint=endpoint), 16)) < 1.0
