@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Protocol
 from urllib.parse import urlsplit
 
-from .dataset import is_finite_number
+from .dataset import is_finite_number, parse_json
 from .errors import BackendError
 from .grpo import TokenLogProbs
 
@@ -86,7 +86,7 @@ class MockBackend:
         # read once here, before any thread can call generate
         rules_path = self.fixtures_dir / "rules.json"
         self._rules: list[dict] = (
-            json.loads(rules_path.read_text("utf-8")) if rules_path.exists() else []
+            parse_json(rules_path.read_text("utf-8"), rules_path) if rules_path.exists() else []
         )
 
     def generate(self, prompt: str, sampling: SamplingParams) -> Generation:
@@ -145,12 +145,12 @@ class HTTPBackend:
     server has closed a reused connection before answering, the request is
     sent once more on a fresh one. At most ``_OPENING`` fresh connections wait
     for their first answer at once, each for up to ``_OPEN_WAIT_S``, so the
-    burst of a rollout's first calls does not overflow a short listen queue. Proxy variables, netrc and credentials in
-    the URL are not used, and redirects are not followed. An endpoint that is
-    not an http(s) URL is rejected here. A 4xx response other than 429
-    raises a BackendError that is not retryable, and so does a 200 response
-    with an unexpected shape, a non-string text or a log-prob that is not a
-    finite number.
+    burst of a rollout's first calls does not overflow a short listen queue.
+    Proxy variables, netrc and credentials in the URL are not used, and
+    redirects are not followed. An endpoint that is not an http(s) URL is
+    rejected here. A 4xx response other than 429 raises a BackendError that
+    is not retryable, and so does a 200 response with an unexpected shape, a
+    non-string text or a log-prob that is not a finite number.
     """
 
     def __init__(

@@ -19,6 +19,7 @@ import datetime
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import IO
 
@@ -27,9 +28,9 @@ from . import evaluation as ev
 from .density import MATCHERS, generate_synthetic, run_corpus
 from ._textnorm import norm_tokens
 from .backends import ENDPOINT_ENV, make_backend
-from .errors import MissingField, ParseError, StructRLError
+from .errors import MissingField, ParseError, StructRLError, check_least
 from .grpo import ObjectiveConfig, objective, write_training_signals
-from .reward import LambdaSchedule, check_lambda
+from .reward import LAMBDA_LEAST, LambdaSchedule
 from .rollout import RolloutConfig, read_rollout_jsonl, rescore_records, run_rollouts, write_rollout_jsonl
 from .trajectory import DocIndex, Rule, parse_trajectory, validate
 
@@ -43,8 +44,8 @@ def _lambda_arg(text: str) -> float | str:
 
 # every run setting: name -> (type, default). The rollout flags, score-export's
 # --epsilon and --beta, the config-file checks and resolved_config.json all
-# come from this table. The defaults of the settings that RolloutConfig and
-# ObjectiveConfig also take are read from those classes.
+# come from this table. A setting of RolloutConfig or ObjectiveConfig has the
+# same name there; its default and any least value (_LEAST) come from there.
 SETTINGS = {
     "backend": (str, "mock"),
     "endpoint": (str, None),
@@ -54,12 +55,13 @@ SETTINGS = {
     "lambda": (_lambda_arg, 0.2),
     "epsilon": (float, ObjectiveConfig.epsilon),
     "beta": (float, ObjectiveConfig.beta),
-    "seed": (int, RolloutConfig.base_seed),
-    "parallel": (int, RolloutConfig.parallelism),
+    "seed": (int, RolloutConfig.seed),
+    "parallel": (int, RolloutConfig.parallel),
     "temperature": (float, RolloutConfig.temperature),
     "max_tokens": (int, RolloutConfig.max_tokens),
     "retries": (int, RolloutConfig.retries),
 }
+_LEAST = {**RolloutConfig.LEAST, **ObjectiveConfig.LEAST}
 _SETTING_FLAGS = {f"--{name.replace('_', '-')}" for name in SETTINGS}
 # the JSON values a config file may give a setting of each type, never a bool;
 # a setting whose default is None may also be null
@@ -99,16 +101,21 @@ def parse_schedule(value: float | str) -> LambdaSchedule:
 
 
 def _config_value(path: str, name: str, value: object) -> object:
-    """A config-file value checked against its setting's type; floats are stored as float."""
+    """A config-file value checked against its setting's type, then against
+    its least value if it has one; floats are stored as float."""
     kind, default = SETTINGS[name]
     accepted, want = _CONFIG_TYPES[kind]
     if value is None and default is None:
         return value
     if isinstance(value, accepted) and not isinstance(value, bool):
         try:
-            return float(value) if kind is float else value
+            value = float(value) if kind is float else value
         except OverflowError:
             pass
+        else:
+            if name in _LEAST:
+                check_least(f"{path}: config key {name!r}", value, _LEAST[name])
+            return value
     raise ValueError(f"{path}: config key {name!r} must be {want}, got {json.dumps(value)}")
 
 
@@ -159,13 +166,8 @@ def cmd_rollout(args: argparse.Namespace) -> int:
     resolved = resolve_config(args)
     objective_config = ObjectiveConfig(resolved["epsilon"], resolved["beta"])
     config = RolloutConfig(
-        k=resolved["k"],
         lambda_schedule=parse_schedule(resolved["lambda"]),
-        base_seed=resolved["seed"],
-        parallelism=resolved["parallel"],
-        temperature=resolved["temperature"],
-        max_tokens=resolved["max_tokens"],
-        retries=resolved["retries"],
+        **{f.name: resolved[f.name] for f in fields(RolloutConfig) if f.name in SETTINGS},
     )
     queries = ds.load_jsonl(resolved["dataset"])
     backend = make_backend(
@@ -226,14 +228,14 @@ def cmd_score_export(args: argparse.Namespace) -> int:
 
 
 def _lambda_values(text: str) -> list[float]:
-    """``--values``: comma-separated lambdas, each a number that ``check_lambda`` accepts."""
+    """``--values``: comma-separated lambdas, each a number in lambda's range."""
     values = []
     for item in text.split(","):
         try:
             values.append(float(item))
         except ValueError:
             raise ValueError(f"--values: bad lambda {item!r} in {text!r}") from None
-        check_lambda(values[-1])
+        check_least("lambda", values[-1], LAMBDA_LEAST)
     return values
 
 
@@ -364,10 +366,7 @@ def cmd_density(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     docs: list[str] = []
     if args.docs:
-        try:
-            docs = json.loads(Path(args.docs).read_text("utf-8"))
-        except json.JSONDecodeError:
-            docs = None
+        docs = ds.parse_json(Path(args.docs).read_text("utf-8"), args.docs)
         _check(ds.is_string_list(docs), "docs must be a JSON list of strings", args.docs, None)
     doc_index = DocIndex(docs)
     strict_hit = False

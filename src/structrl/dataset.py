@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .errors import MissingField, ParseError
+from .errors import MissingField, ParseError, check_least
 
 REQUIRED_FIELDS = ("id", "question", "docs", "golden_answers")
 
@@ -82,6 +82,8 @@ def parse_json(text: str, path: object, line: int | None = None) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line or exc.lineno, path) from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", line, path) from None
 
 
 def read_records(path: str | Path) -> Iterator[tuple[int, object]]:
@@ -125,8 +127,7 @@ def sample(instances: list[QueryInstance], n: int, seed: int) -> list[QueryInsta
     stream seeded with `seed`, swapping index i (descending from len-1) with
     j = integers(0, i+1); the first n entries of the shuffle are the sample.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_least("n", n, 0)
     if n > len(instances):
         raise ValueError(f"asked for {n} of {len(instances)} instances")
     import numpy as np  # on the first draw only; see the module docstring

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 
 from ._textnorm import norm_tokens, normalize_text
+from .errors import check_least
 from .prompting import PREDEFINED_FORMATS
 
 # the ways a fact can be found in a text; the first is the default
@@ -102,8 +103,7 @@ def generate_synthetic(n_instances: int, seed: int) -> list[dict]:
     the table candidate holds every fact plus a 3-token header, and the
     self-defined timeline holds every fact with no header.
     """
-    if n_instances < 0:
-        raise ValueError("n must be >= 0")
+    check_least("n", n_instances, 0)
     import numpy as np  # on the first draw only; see the module docstring
 
     rng = np.random.default_rng(seed)

@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, ClassVar, Sequence
+
+from .errors import check_least
 
 
 @dataclass(frozen=True)
@@ -39,15 +41,12 @@ class TokenLogProbs:
 class ObjectiveConfig:
     epsilon: float = 0.2
     beta: float = 0.001
+    # the least value of each bounded field, in the order they are checked
+    LEAST: ClassVar[dict[str, float]] = {"epsilon": 0, "beta": 0}
 
     def __post_init__(self) -> None:
-        for name in ("epsilon", "beta"):
-            value = getattr(self, name)
-            # written so that NaN fails too
-            if not value >= 0:
-                raise ValueError(f"{name} must be >= 0")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        for name, least in self.LEAST.items():
+            check_least(name, getattr(self, name), least)
 
 
 def _mean(xs: Sequence[float]) -> float:
@@ -84,7 +83,8 @@ def kl_term(policy: Sequence[float], reference: Sequence[float]) -> float:
     for p, ref in zip(policy, reference):
         r = ref - p
         per_token.append(math.exp(r) - r - 1.0)
-    return _mean(per_token)
+    # exp(r) rounds to 1.0 for |r| near 1e-16, which leaves -r: clamp it
+    return max(0.0, _mean(per_token))
 
 
 def sequence_ratio(policy: Sequence[float], behavior: Sequence[float]) -> float:

@@ -7,11 +7,11 @@ structuring is never free.
 """
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
 from ._textnorm import normalize_text, norm_tokens
+from .errors import check_least
 from .trajectory import Trajectory
 
 
@@ -77,16 +77,11 @@ class RewardBreakdown:
         }
 
 
-def check_lambda(value: float) -> None:
-    """Reject a mixing weight that is not finite or is negative."""
-    if not math.isfinite(value):
-        raise ValueError(f"lambda must be finite, got {value}")
-    if value < 0:
-        raise ValueError(f"lambda must be non-negative, got {value}")
+LAMBDA_LEAST = 0
 
 
 def combined_reward(direct: float, reinf: float, lambda_: float) -> RewardBreakdown:
-    check_lambda(lambda_)
+    check_least("lambda", lambda_, LAMBDA_LEAST)
     return RewardBreakdown(direct, reinf, lambda_, direct + lambda_ * reinf)
 
 
@@ -100,11 +95,10 @@ class LambdaSchedule:
     steps: int
 
     def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise ValueError("linear schedule needs steps >= 1")
+        check_least("steps", self.steps, 1)
         # lowest first, so a schedule below zero reports its minimum
         for value in sorted((self.start, self.end)):
-            check_lambda(value)
+            check_least("lambda", value, LAMBDA_LEAST)
 
 
 def lambda_at(schedule: LambdaSchedule, step: int) -> float:

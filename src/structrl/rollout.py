@@ -30,11 +30,11 @@ from dataclasses import dataclass
 from itertools import count, repeat
 from operator import sub
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, ClassVar, Iterable, Iterator
 
 from .backends import Generation, GenerationBackend, SamplingParams
 from .dataset import QueryInstance, is_finite_number, read_records
-from .errors import BackendError, ParseError
+from .errors import BackendError, ParseError, check_least
 from .grpo import AdvantageSet, TokenLogProbs, group_advantages
 from .prompting import build_main_prompt, build_reinference_prompt
 from .reward import (
@@ -64,26 +64,18 @@ def derive_seed(query_id: str, sample_index: int, base_seed: int) -> int:
 class RolloutConfig:
     k: int = 8
     lambda_schedule: LambdaSchedule = LambdaSchedule(0.2, 0.2, 1)
-    base_seed: int = 0
-    parallelism: int = 1
+    seed: int = 0
+    parallel: int = 1
     temperature: float = 1.0
     max_tokens: int = 1024
     retries: int = 2
+    # the least value of each bounded field, in the order they are checked
+    LEAST: ClassVar[dict[str, float]] = {"k": 1, "retries": 0, "parallel": 1, "max_tokens": 1,
+                                         "temperature": 0}
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-        if self.parallelism < 1:
-            raise ValueError("parallel must be >= 1")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
-        # written so that NaN fails too
-        if not self.temperature >= 0:
-            raise ValueError("temperature must be >= 0")
-        if not math.isfinite(self.temperature):
-            raise ValueError(f"temperature must be finite, got {self.temperature}")
+        for name, least in self.LEAST.items():
+            check_least(name, getattr(self, name), least)
 
 
 @dataclass(frozen=True)
@@ -182,7 +174,7 @@ def _rollout_sample(
     doc_index: DocIndex,
 ) -> TrajectoryPair:
     """One sample: primary call, then its re-inference call as soon as it returns."""
-    seed = derive_seed(query.id, index, config.base_seed)
+    seed = derive_seed(query.id, index, config.seed)
     sampling = SamplingParams(
         temperature=config.temperature, max_tokens=config.max_tokens, seed=seed
     )
@@ -258,13 +250,13 @@ def run_rollouts(
     one shared pool of N x K threads, so every in-flight sample has a thread.
     At 1 everything runs in the caller's thread.
     """
-    if config.parallelism <= 1:
+    if config.parallel <= 1:
         for step, query in enumerate(dataset):
             yield rollout_one(query, step, backend, config)
         return
     with (
-        ThreadPoolExecutor(max_workers=config.parallelism * config.k) as samples,
-        ThreadPoolExecutor(max_workers=config.parallelism) as groups,
+        ThreadPoolExecutor(max_workers=config.parallel * config.k) as samples,
+        ThreadPoolExecutor(max_workers=config.parallel) as groups,
     ):
         yield from groups.map(
             rollout_one, dataset, count(), repeat(backend), repeat(config), repeat(samples)

@@ -120,7 +120,7 @@ def test_criterion_3_reward_contract(tmp_path):
 
         queries, fixtures = _reward_contract_fixture(tmp_path)
         config = RolloutConfig(
-            k=1, lambda_schedule=LambdaSchedule(0.2, 0.2, 1), base_seed=0
+            k=1, lambda_schedule=LambdaSchedule(0.2, 0.2, 1), seed=0
         )
         groups = list(run_rollouts(queries, config, MockBackend(fixtures)))
         pairs = [p for g in groups for p in g.pairs]

@@ -5,6 +5,7 @@ stdout/stderr are observable without subprocesses; only the checks of what
 importing and running the CLI loads use a fresh interpreter.
 """
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from structrl import cli
 from structrl.backends import prompt_digest
 from structrl.cli import SETTINGS, build_parser, main, parse_schedule, resolve_config
+from structrl.grpo import ObjectiveConfig
 from structrl.prompting import build_main_prompt, build_reinference_prompt
 from structrl.reward import LambdaSchedule
 from structrl.rollout import RolloutConfig, derive_seed, read_rollout_jsonl
@@ -223,6 +225,13 @@ class TestResolveConfig:
             return isinstance(value, kind)
         return isinstance(value, (int, float, str))  # lambda: a number or a schedule
 
+    @classmethod
+    def in_range(cls, name, value):
+        """Whether ``value`` has the type of setting ``name`` and, for a
+        bounded setting, is finite and at least its least value."""
+        least = {**RolloutConfig.LEAST, **ObjectiveConfig.LEAST}
+        return cls.has_type(name, value) and (name not in least or least[name] <= value < math.inf)
+
     @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         name=st.sampled_from(sorted(SETTINGS)),
@@ -231,7 +240,7 @@ class TestResolveConfig:
     def test_config_value_resolves_typed_or_fails_naming_the_file(
         self, tmp_path, monkeypatch, name, value
     ):
-        """Only resolve_config runs, so no drawn K or parallelism starts a thread."""
+        """Only resolve_config runs, so no drawn k or parallel starts a thread."""
         monkeypatch.delenv("STRUCTRL_ENDPOINT", raising=False)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({name: value}), "utf-8")
@@ -240,9 +249,9 @@ class TestResolveConfig:
             resolved = resolve_config(args)
         except ValueError as exc:
             assert str(exc).startswith(f"{cfg}: config key {name!r} ")
-            assert not self.has_type(name, value)
+            assert not self.in_range(name, value)
             return
-        assert all(self.has_type(key, resolved[key]) for key in SETTINGS)
+        assert all(self.in_range(key, resolved[key]) for key in SETTINGS)
         want = float(value) if SETTINGS[name][0] is float else value
         assert resolved[name] == want or want != want  # NaN equals nothing
 
@@ -401,15 +410,16 @@ class TestRolloutCommand:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--k", "0", "k must be >= 1"), ("--retries", "-1", "retries must be >= 0"),
-         ("--parallel", "0", "parallel must be >= 1"),
-         ("--max-tokens", "-5", "max_tokens must be >= 1"),
-         ("--temperature", "-1", "temperature must be >= 0"),
-         ("--temperature", "nan", "temperature must be >= 0"),
+        [("--k", "0", "k must be >= 1, got 0"), ("--retries", "-1", "retries must be >= 0, got -1"),
+         ("--parallel", "0", "parallel must be >= 1, got 0"),
+         ("--max-tokens", "-5", "max_tokens must be >= 1, got -5"),
+         ("--temperature", "-1", "temperature must be >= 0, got -1.0"),
+         ("--temperature", "nan", "temperature must be >= 0, got nan"),
          # argparse alone would read these two values as options
-         ("--temperature", "-inf", "temperature must be >= 0"),
-         ("--temperature", "-1e3", "temperature must be >= 0"),
-         ("--epsilon", "-1", "epsilon must be >= 0"), ("--beta", "-2", "beta must be >= 0"),
+         ("--temperature", "-inf", "temperature must be >= 0, got -inf"),
+         ("--temperature", "-1e3", "temperature must be >= 0, got -1000.0"),
+         ("--epsilon", "-1", "epsilon must be >= 0, got -1.0"),
+         ("--beta", "-2", "beta must be >= 0, got -2.0"),
          ("--temperature", "inf", "temperature must be finite, got inf"),
          ("--epsilon", "inf", "epsilon must be finite, got inf"),
          ("--beta", "inf", "beta must be finite, got inf")],
@@ -433,11 +443,12 @@ class TestRolloutCommand:
 
     @pytest.mark.parametrize(
         "key, value, message",
-        [("parallel", 0, "parallel must be >= 1"), ("max_tokens", 0, "max_tokens must be >= 1"),
-         ("temperature", -0.5, "temperature must be >= 0"), ("beta", -1, "beta must be >= 0"),
+        [("k", 0, "must be >= 1, got 0"),
+         ("parallel", 0, "must be >= 1, got 0"), ("max_tokens", 0, "must be >= 1, got 0"),
+         ("temperature", -0.5, "must be >= 0, got -0.5"), ("beta", -1, "must be >= 0, got -1.0"),
          # json writes and reads an infinity as the bare word Infinity
-         ("temperature", math.inf, "temperature must be finite, got inf"),
-         ("epsilon", math.inf, "epsilon must be finite, got inf")],
+         ("temperature", math.inf, "must be finite, got inf"),
+         ("epsilon", math.inf, "must be finite, got inf")],
     )
     def test_out_of_range_setting_in_a_config_file_exits_before_building_anything(
         self, tmp_path, capsys, monkeypatch, golden_trace, golden_docs, golden_golds,
@@ -453,7 +464,23 @@ class TestRolloutCommand:
              "--config", str(cfg), "--out", str(out_dir)]
         )
         assert code == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {cfg}: config key {key!r} {message}\n"
+        assert not out_dir.exists()
+
+    def test_out_of_range_config_value_fails_even_when_a_flag_overrides_it(
+        self, tmp_path, capsys, monkeypatch, golden_trace, golden_docs, golden_golds
+    ):
+        dataset, fixtures = write_fixtures(tmp_path, golden_trace, golden_docs, golden_golds)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 0}), "utf-8")
+        monkeypatch.setattr(cli, "make_backend", lambda *a, **kw: pytest.fail("backend built"))
+        out_dir = tmp_path / "out"
+        code = main(
+            ["rollout", "--dataset", str(dataset), "--fixtures", str(fixtures),
+             "--config", str(cfg), "--k", "4", "--out", str(out_dir)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}: config key 'k' must be >= 1, got 0\n"
         assert not out_dir.exists()
 
     def test_missing_dataset_exits_nonzero(self, tmp_path, capsys):
@@ -485,10 +512,10 @@ class TestRolloutCommand:
 
     @pytest.mark.parametrize(
         "value, message",
-        [("-0.5", "lambda must be non-negative, got -0.5"),
-         ("linear:0:0.2:0", "linear schedule needs steps >= 1"),
-         ("linear:0:-0.2:4", "lambda must be non-negative, got -0.2"),
-         ("nan", "lambda must be finite, got nan"),
+        [("-0.5", "lambda must be >= 0, got -0.5"),
+         ("linear:0:0.2:0", "steps must be >= 1, got 0"),
+         ("linear:0:-0.2:4", "lambda must be >= 0, got -0.2"),
+         ("nan", "lambda must be >= 0, got nan"),
          ("inf", "lambda must be finite, got inf"),
          ("linear:0:inf:4", "lambda must be finite, got inf")],
         ids=["negative", "zero-steps", "negative-linear-end", "nan", "inf", "infinite-linear-end"],
@@ -656,8 +683,9 @@ class TestScoreExport:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--epsilon", "-1", "epsilon must be >= 0"), ("--beta", "-2", "beta must be >= 0"),
-         ("--beta", "-inf", "beta must be >= 0"),
+        [("--epsilon", "-1", "epsilon must be >= 0, got -1.0"),
+         ("--beta", "-2", "beta must be >= 0, got -2.0"),
+         ("--beta", "-inf", "beta must be >= 0, got -inf"),
          ("--beta", "inf", "beta must be finite, got inf")],
     )
     def test_out_of_range_setting_fails_before_reading(
@@ -741,7 +769,7 @@ class TestSweepLambda:
              "--values", "0.2,nan", "--out", str(out_file)]
         )
         assert code == 1
-        assert capsys.readouterr() == ("", "error: lambda must be finite, got nan\n")
+        assert capsys.readouterr() == ("", "error: lambda must be >= 0, got nan\n")
         assert not out_file.exists()
 
     @pytest.mark.parametrize("values, item", [("0.1,,0.2", ""), ("0.1,x", "x"), ("", "")])
@@ -884,7 +912,7 @@ class TestDensityCommand:
         out = tmp_path / "report.json"
         code = main(["density", "--synthetic", "--n", "-5", "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr() == ("", "error: n must be >= 0\n")
+        assert capsys.readouterr() == ("", "error: n must be >= 0, got -5\n")
         assert not out.exists()
 
     def test_needs_source(self, capsys):
@@ -947,9 +975,10 @@ class TestValidateCommand:
         docs.write_text(text, "utf-8")
         code = main(["validate", "--trajectories", str(trajectories), "--docs", str(docs)])
         assert code == 1
-        assert capsys.readouterr() == (
-            "", f"error: {docs}: docs must be a JSON list of strings\n"
-        )
+        # text that is not JSON fails as every JSON input does, with its line
+        want = (f"{docs} line 1: invalid JSON: Expecting value" if text == "[not json"
+                else f"{docs}: docs must be a JSON list of strings")
+        assert capsys.readouterr() == ("", f"error: {want}\n")
 
     def test_accepts_raw_object_lines(self, tmp_path, capsys):
         trajectories = tmp_path / "traces.jsonl"
@@ -1169,6 +1198,50 @@ def test_invalid_json_line_names_file_and_line(tmp_path, capsys, command, flag, 
     assert capsys.readouterr().err.startswith(f"error: {records} line 2: invalid JSON: ")
 
 
+@pytest.mark.parametrize(
+    "argv, deep, where",
+    [
+        (["rollout", "--dataset", "{tmp}/deep", "--fixtures", "{tmp}/fixtures",
+          "--out", "{tmp}/out"], "deep", " line 1"),
+        (["rollout", "--dataset", "{tmp}/dataset.jsonl", "--fixtures", "{tmp}/fixtures",
+          "--config", "{tmp}/deep", "--out", "{tmp}/out"], "deep", ""),
+        (["rollout", "--dataset", "{tmp}/dataset.jsonl", "--fixtures", "{tmp}/fixtures",
+          "--out", "{tmp}/out"], "fixtures/rules.json", ""),
+        (["score-export", "--rollouts", "{tmp}/deep", "--out", "{tmp}/out"], "deep", " line 1"),
+        (["sweep-lambda", "--rollouts", "{tmp}/deep", "--out", "{tmp}/out"], "deep", " line 1"),
+        (["eval", "--predictions", "{tmp}/deep", "--dataset", "{tmp}/dataset.jsonl"],
+         "deep", " line 1"),
+        (["eval", "--predictions", "{tmp}/dataset.jsonl", "--dataset", "{tmp}/deep"],
+         "deep", " line 1"),
+        (["density", "--corpus", "{tmp}/deep", "--out", "{tmp}/out"], "deep", " line 1"),
+        (["convert-dataset", "--src", "{tmp}/deep", "--out", "{tmp}/out"], "deep", ""),
+        (["validate", "--trajectories", "{tmp}/deep"], "deep", " line 1"),
+        (["validate", "--trajectories", "{tmp}/dataset.jsonl", "--docs", "{tmp}/deep"],
+         "deep", ""),
+        (["sample", "--dataset", "{tmp}/deep", "--n", "1", "--out", "{tmp}/out"],
+         "deep", " line 1"),
+    ],
+    ids=["rollout-dataset", "rollout-config", "rollout-rules", "score-export", "sweep-lambda",
+         "eval-predictions", "eval-dataset", "density-corpus", "convert-dataset",
+         "validate-trajectories", "validate-docs", "sample"],
+)
+def test_json_nested_too_deeply_names_the_file_and_makes_no_output(
+    tmp_path, capsys, argv, deep, where
+):
+    (tmp_path / "fixtures").mkdir()
+    (tmp_path / "dataset.jsonl").write_text(
+        json.dumps({"id": "q1", "question": "?", "docs": ["d"], "golden_answers": ["x"]}) + "\n",
+        "utf-8",
+    )
+    # deeper than the decoder's recursion limit
+    (tmp_path / deep).write_text("[" * 200_000 + "\n", "utf-8")
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {tmp_path / deep}{where}: invalid JSON: nested too deeply\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 class TestConvertAndSample:
     def test_convert_dataset(self, tmp_path, capsys):
         src = tmp_path / "raw.json"
@@ -1251,7 +1324,7 @@ class TestConvertAndSample:
         code = main(["sample", "--dataset", str(dataset), "--n", "-1",
                      "--seed", "0", "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr() == ("", "error: n must be >= 0\n")
+        assert capsys.readouterr() == ("", "error: n must be >= 0, got -1\n")
         assert not out.exists()
 
     def test_sample_too_large_errors(self, tmp_path, capsys):
@@ -1410,3 +1483,12 @@ def test_library_defaults_are_the_settings_defaults():
     ObjectiveConfig; lambda's is a schedule there and a number here, so a bare
     ``structrl rollout`` must still parse it to the library's default."""
     assert RolloutConfig().lambda_schedule == parse_schedule(SETTINGS["lambda"][1])
+
+
+def test_each_config_field_is_the_setting_of_its_name():
+    """A setting has one name from its flag to its library field; only the
+    lambda schedule, whose setting is ``lambda``, is named otherwise."""
+    for cls in (RolloutConfig, ObjectiveConfig):
+        names = [f.name for f in dataclasses.fields(cls) if f.name != "lambda_schedule"]
+        assert all(SETTINGS[name][1] == getattr(cls, name) for name in names)
+        assert set(cls.LEAST) <= set(names)

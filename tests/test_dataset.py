@@ -101,7 +101,7 @@ class TestSample:
             sample(make_instances(3), 4, seed=0)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="n must be >= 0"):
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
             sample(make_instances(3), -1, seed=0)
 
     def test_pinned_stream_regression(self):

@@ -143,14 +143,16 @@ class TestCombinedReward:
         assert b.total == b.direct + b.lambda_ * b.reinf
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError, match="lambda must be non-negative, got -0.1"):
+        with pytest.raises(ValueError, match="^lambda must be >= 0, got -0.1$"):
             combined_reward(1.0, 1.0, -0.1)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_lambda_that_is_not_finite_rejected(self, value):
-        with pytest.raises(ValueError, match=f"lambda must be finite, got {value}"):
+        # NaN and -inf fail the lower bound, +inf the finiteness check
+        message = "must be finite" if value == float("inf") else "must be >= 0"
+        with pytest.raises(ValueError, match=f"^lambda {message}, got {value}$"):
             combined_reward(1.0, 1.0, value)
-        with pytest.raises(ValueError, match=f"lambda must be finite, got {value}"):
+        with pytest.raises(ValueError, match=f"^lambda {message}, got {value}$"):
             LambdaSchedule(0.0, value, 4)
 
     def test_json_field_names(self):
@@ -171,7 +173,7 @@ class TestLambdaSchedule:
         assert lambda_at(sched, 250) == pytest.approx(0.2)
 
     def test_zero_steps_rejected(self):
-        with pytest.raises(ValueError, match=r"linear schedule needs steps >= 1"):
+        with pytest.raises(ValueError, match="^steps must be >= 1, got 0$"):
             LambdaSchedule(0.0, 0.2, 0)
 
     @given(st.integers(0, 10_000))

@@ -234,7 +234,7 @@ class TestRunRollouts:
 
     def test_order_matches_dataset(self, tmp_path):
         backend = self._backend(tmp_path)
-        config = RolloutConfig(k=2, parallelism=1)
+        config = RolloutConfig(k=2, parallel=1)
         groups = list(run_rollouts(self._dataset(), config, backend))
         assert [g.query.id for g in groups] == ["q0", "q1", "q2"]
         assert [g.step for g in groups] == [0, 1, 2]
@@ -243,11 +243,11 @@ class TestRunRollouts:
         backend = self._backend(tmp_path)
         serial = [
             g.to_dict()
-            for g in run_rollouts(self._dataset(), RolloutConfig(k=2, parallelism=1), backend)
+            for g in run_rollouts(self._dataset(), RolloutConfig(k=2, parallel=1), backend)
         ]
         parallel = [
             g.to_dict()
-            for g in run_rollouts(self._dataset(), RolloutConfig(k=2, parallelism=4), backend)
+            for g in run_rollouts(self._dataset(), RolloutConfig(k=2, parallel=4), backend)
         ]
         assert json.dumps(serial) == json.dumps(parallel)
 
@@ -261,16 +261,17 @@ class TestRunRollouts:
 
     @pytest.mark.parametrize(
         "field, value, message",
-        [("k", 0, "k must be >= 1"), ("k", -1, "k must be >= 1"),
-         ("retries", -1, "retries must be >= 0"), ("parallelism", 0, "parallel must be >= 1"),
-         ("max_tokens", 0, "max_tokens must be >= 1"),
-         ("temperature", -0.5, "temperature must be >= 0"),
-         ("temperature", math.nan, "temperature must be >= 0"),
+        [("k", 0, "k must be >= 1, got 0"), ("k", -1, "k must be >= 1, got -1"),
+         ("retries", -1, "retries must be >= 0, got -1"),
+         ("parallel", 0, "parallel must be >= 1, got 0"),
+         ("max_tokens", 0, "max_tokens must be >= 1, got 0"),
+         ("temperature", -0.5, "temperature must be >= 0, got -0.5"),
+         ("temperature", math.nan, "temperature must be >= 0, got nan"),
          ("temperature", math.inf, "temperature must be finite, got inf"),
-         ("temperature", -math.inf, "temperature must be >= 0")],
+         ("temperature", -math.inf, "temperature must be >= 0, got -inf")],
     )
     def test_config_out_of_range_rejected(self, field, value, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             RolloutConfig(**{field: value})
 
     def test_empty_dataset_is_empty_stream(self, tmp_path):

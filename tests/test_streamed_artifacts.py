@@ -57,6 +57,16 @@ CONFIG_PINS = {
     "1": "1fca438333c1f0d4702a200e830f322831a540a70755d9960542f54efe24c4cc",
     "2": "35c7f3cb384cb1f71482774be42b3924349cc596f10b8d3eadb04984759a134c",
 }
+# sweep-lambda at its default --values in each --format, on that rollout at
+# --parallel 1; the same bytes are printed and written to --out
+SWEEP_PINS = {
+    "text": "9150e9375fd54c33fde7a7c4dfa9d1b6ae27c9225d3e93c362d2a1ae0b304f73",
+    "json": "f4a6843b86e0a40b191e5f99e7529fc6e3af0b408dbf864dd9b20cf4a107baf1",
+    "csv": "3a31a486080fae5eaaa8b4a62cdf499ab2b4d4f1bce9882e72ea560ac724a276",
+}
+# score-export --epsilon 0.001 --beta 0.5 on that rollout, which clips 115 of
+# its 384 samples
+CLIPPED_PIN = "9c65018104b79af44e4b4dad04916b33bac816ad5c3dac35dc67ade155a5b42c"
 # density --synthetic --n 2000 --seed 9, the offline benchmark's size
 DENSITY_PIN = "33e6e584861ebdada04c8d6e193ac4091910624793637d59723efcaac2a6b2e9"
 
@@ -135,6 +145,26 @@ def test_offline_shape_rollout_bytes_are_pinned(tmp_path, monkeypatch, capsys, p
     out = Path("out")
     assert _digests(out, capsys.readouterr().out.encode("utf-8")) == OFFLINE_PINS, _versions()
     assert _sha((out / "resolved_config.json").read_bytes()) == CONFIG_PINS[parallel], _versions()
+
+
+def test_offline_shape_sweep_and_clipped_signal_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    workload.generate("w", SEED, OFFLINE)
+    assert _rollout("out", "1") == 0
+    assert _digests(Path("out"), capsys.readouterr().out.encode("utf-8")) == OFFLINE_PINS, _versions()
+    for fmt, pin in SWEEP_PINS.items():
+        code = main(["sweep-lambda", "--rollouts", "out/rollouts.jsonl", "--format", fmt,
+                     "--out", f"sweep.{fmt}"])
+        assert code == 0
+        printed = _sha(capsys.readouterr().out.encode("utf-8"))
+        assert (printed, _sha(Path(f"sweep.{fmt}").read_bytes())) == (pin, pin), _versions()
+    code = main(["score-export", "--rollouts", "out/rollouts.jsonl", "--epsilon", "0.001",
+                 "--beta", "0.5", "--out", "clipped.jsonl"])
+    assert code == 0
+    assert capsys.readouterr().out == "objective=-0.000777 groups=48\n"
+    signals = [json.loads(line) for line in Path("clipped.jsonl").read_text("utf-8").splitlines()]
+    assert sum(s["clipped_term"] != s["ratio"] * s["advantage"] for s in signals) == 115
+    assert _sha(Path("clipped.jsonl").read_bytes()) == CLIPPED_PIN, _versions()
 
 
 def test_synthetic_density_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
