@@ -6,31 +6,31 @@ documents, so its reward measures whether the structures carry the answer.
 Failed samples stay in the group (scored 0 and flagged) to keep group size
 and advantage semantics stable. All seeds derive from (query id, sample
 index, base seed), which makes output independent of parallelism degree.
-At parallelism N > 1, N groups are in flight and their K samples run
-concurrently, each re-inference call starting as soon as its own primary
-call returns.
+At parallelism N > 1 the samples of up to 2N started groups share one pool
+of N x K threads, each re-inference call starting as soon as its own primary
+call returns, so a slow sample holds only its own thread.
 
 Both passes of every sample are validated against one `DocIndex` per query:
 the normalised text of its documents, built when the group starts and
 shared by all K samples. It is dropped with the group, so at most one index
-per worker is alive.
+per started group is alive.
 
 `run_rollouts` yields each group once it and every group before it are done,
 so a caller can write the group's record and drop it before the next one
 arrives, as `structrl rollout` does: `write_rollout_jsonl` appends to an open
-file.
+file. If the loop stops early, samples that have not started are cancelled.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-from concurrent.futures import Executor, ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import count, repeat
 from operator import sub
 from pathlib import Path
-from typing import IO, ClassVar, Iterable, Iterator
+from typing import IO, Callable, ClassVar, Iterable, Iterator
 
 from .backends import Generation, GenerationBackend, SamplingParams
 from .dataset import QueryInstance, is_finite_number, read_records
@@ -212,19 +212,15 @@ def _rollout_sample(
     )
 
 
-def rollout_one(
+def _start(
     query: QueryInstance,
     step: int,
     backend: GenerationBackend,
-    config: RolloutConfig = RolloutConfig(),
-    pool: Executor | None = None,
-) -> RolloutGroup:
-    """One group: ``config.k`` sampled pairs for a query plus centered advantages.
-
-    ``step`` picks the weight from ``config.lambda_schedule``. The K samples
-    run on ``pool`` when one is given, else one after another in the
-    caller's thread; pairs keep sample order either way.
-    """
+    config: RolloutConfig,
+    run: Callable[..., Iterator[TrajectoryPair]],
+) -> Iterator[TrajectoryPair]:
+    """The query's K samples, started by ``run``, the builtin or a pool's
+    ``map``, on one prompt and ``DocIndex``; yields the pairs in order."""
     lambda_ = lambda_at(config.lambda_schedule, step)
     doc_index = DocIndex(query.docs)
     # the K primary prompts are byte-identical
@@ -233,9 +229,27 @@ def rollout_one(
     def sample(i: int) -> TrajectoryPair:
         return _rollout_sample(query, i, prompt, lambda_, backend, config, doc_index)
 
-    pairs = tuple((map if pool is None else pool.map)(sample, range(config.k)))
+    return run(sample, range(config.k))
+
+
+def rollout_one(
+    query: QueryInstance,
+    step: int,
+    backend: GenerationBackend,
+    config: RolloutConfig = RolloutConfig(),
+    pairs: Iterable[TrajectoryPair] | None = None,
+) -> RolloutGroup:
+    """One group: ``config.k`` sampled pairs for a query plus centered advantages.
+
+    ``step`` picks the weight from ``config.lambda_schedule``. ``pairs`` are
+    the query's samples as ``run_rollouts`` started them, in sample order;
+    without them the samples run here, one after another.
+    """
+    if pairs is None:
+        pairs = _start(query, step, backend, config, map)
+    pairs = tuple(pairs)
     advantages = group_advantages([p.breakdown.total for p in pairs])
-    return RolloutGroup(query, pairs, advantages, lambda_, step)
+    return RolloutGroup(query, pairs, advantages, lambda_at(config.lambda_schedule, step), step)
 
 
 def run_rollouts(
@@ -245,22 +259,25 @@ def run_rollouts(
 ) -> Iterator[RolloutGroup]:
     """One group per query, in dataset order regardless of completion order.
 
-    The query's position is its step index for the lambda schedule. At
-    parallelism N > 1, N groups are in flight and each runs its K samples on
-    one shared pool of N x K threads, so every in-flight sample has a thread.
-    At 1 everything runs in the caller's thread.
+    The query's position is its step index for the lambda schedule. One
+    loop keeps a window of started groups, 2N deep at parallelism N > 1 and
+    1 deep at 1, where the samples run in the caller's thread; each group is
+    assembled by ``rollout_one`` when it is the oldest one in the window.
     """
-    if config.parallel <= 1:
+    pool = ThreadPoolExecutor(config.parallel * config.k) if config.parallel > 1 else None
+    run, depth = (map, 1) if pool is None else (pool.map, 2 * config.parallel)
+    window: deque[tuple] = deque()  # rollout_one's arguments, oldest group first
+    try:
         for step, query in enumerate(dataset):
-            yield rollout_one(query, step, backend, config)
-        return
-    with (
-        ThreadPoolExecutor(max_workers=config.parallel * config.k) as samples,
-        ThreadPoolExecutor(max_workers=config.parallel) as groups,
-    ):
-        yield from groups.map(
-            rollout_one, dataset, count(), repeat(backend), repeat(config), repeat(samples)
-        )
+            pairs = _start(query, step, backend, config, run)
+            window.append((query, step, backend, config, pairs))
+            if len(window) == depth:
+                yield rollout_one(*window.popleft())
+        while window:
+            yield rollout_one(*window.popleft())
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def write_rollout_jsonl(fh: IO[str], records: Iterable[dict]) -> int:

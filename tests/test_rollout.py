@@ -1,8 +1,9 @@
 import copy
+import dataclasses
 import json
 import math
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from pathlib import Path
 
 import pytest
@@ -156,9 +157,9 @@ class TestRolloutOne:
         assert broken == valid
         assert not any(p["failed"] for p in valid.values())
 
-    @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pool"])
+    @pytest.mark.parametrize("parallel", [1, 2], ids=["serial", "pool"])
     def test_main_prompt_built_once_per_query(
-        self, tmp_path, monkeypatch, golden_trace, golden_docs, golden_golds, pooled
+        self, tmp_path, monkeypatch, golden_trace, golden_docs, golden_golds, parallel
     ):
         builds = []
         original = rollout.build_main_prompt
@@ -166,14 +167,13 @@ class TestRolloutOne:
             rollout, "build_main_prompt", lambda *a: builds.append(a) or original(*a)
         )
         backend = golden_backend(tmp_path, golden_trace)
-        query = golden_query(golden_docs, golden_golds)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            group = rollout_one(
-                query, 0, backend, RolloutConfig(k=4), pool=pool if pooled else None
-            )
-        assert len(builds) == 1
-        assert all(p.breakdown.reinf == 1.0 for p in group.pairs)
-        assert [p.seed for p in group.pairs] == [derive_seed(query.id, i, 0) for i in range(4)]
+        golden = golden_query(golden_docs, golden_golds)
+        queries = [dataclasses.replace(golden, id=f"case-{i}") for i in range(3)]
+        groups = list(run_rollouts(queries, RolloutConfig(k=4, parallel=parallel), backend))
+        assert len(builds) == len(queries)
+        for query, group in zip(queries, groups):
+            assert all(p.breakdown.reinf == 1.0 for p in group.pairs)
+            assert [p.seed for p in group.pairs] == [derive_seed(query.id, i, 0) for i in range(4)]
 
     def test_retry_budget(self, tmp_path):
         from structrl.backends import Generation
@@ -250,6 +250,27 @@ class TestRunRollouts:
             for g in run_rollouts(self._dataset(), RolloutConfig(k=2, parallel=4), backend)
         ]
         assert json.dumps(serial) == json.dumps(parallel)
+
+    def test_a_slow_sample_holds_only_its_own_thread(self, tmp_path):
+        """At parallelism 2 the samples of q2 run while the first sample of q0
+        and of q1 still waits: a straggler does not hold its group's slot."""
+        backend = self._backend(tmp_path)
+        q2_called = threading.Event()
+        waits = []
+        stragglers = {derive_seed(f"q{i}", 0, 0) for i in (0, 1)}
+
+        class Straggling:
+            def generate(self, prompt, sampling):
+                if "marker2" in prompt:
+                    q2_called.set()
+                elif sampling.seed in stragglers:
+                    waits.append(q2_called.wait(timeout=5))
+                return backend.generate(prompt, sampling)
+
+        config = RolloutConfig(k=2, parallel=2)
+        groups = list(run_rollouts(self._dataset(), config, Straggling()))
+        assert waits == [True, True]
+        assert [g.query.id for g in groups] == ["q0", "q1", "q2"]
 
     def test_lambda_schedule_applied_per_step(self, tmp_path):
         backend = self._backend(tmp_path)

@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benches"))
 import workload  # noqa: E402
 from structrl import cli  # noqa: E402
 from structrl.cli import main  # noqa: E402
+from structrl.rollout import derive_seed  # noqa: E402
 
 MOCK_K8 = workload.Shape(queries=32, docs=10, doc_tokens=(80, 200))
 SEED = 9
@@ -56,6 +58,7 @@ OFFLINE = workload.Shape(queries=48, docs=10, doc_tokens=(80, 200))
 CONFIG_PINS = {
     "1": "1fca438333c1f0d4702a200e830f322831a540a70755d9960542f54efe24c4cc",
     "2": "35c7f3cb384cb1f71482774be42b3924349cc596f10b8d3eadb04984759a134c",
+    "4": "c90f633fadfd8db4ffceeed8704dd7e6c4339600c8efbbd4cbc07efd8f68de2d",
 }
 # sweep-lambda at its default --values in each --format, on that rollout at
 # --parallel 1; the same bytes are printed and written to --out
@@ -97,7 +100,7 @@ def _rollout(out: str, parallel: str) -> int:
     )
 
 
-@pytest.mark.parametrize("parallel", ["1", "2"])
+@pytest.mark.parametrize("parallel", ["1", "2", "4"])
 @pytest.mark.parametrize("fixtures", sorted(PINS))
 def test_mock_rollout_bytes_are_pinned(tmp_path, monkeypatch, capsys, fixtures, parallel):
     monkeypatch.chdir(tmp_path)
@@ -219,3 +222,55 @@ def test_interrupted_rollout_keeps_its_finished_groups(tmp_path, monkeypatch, ca
     # the sidecar is written only after the last group
     assert not (cut / "resolved_config.json").exists()
     assert not (cut / "run.log").exists()
+
+
+
+
+class _SlowPastTheFirstQuery:
+    """A backend that counts its calls; a call for any query but the first is
+    made only after ``DELAY`` seconds, so that the samples of later queries
+    are still running, or queued, when the first query's group is written."""
+
+    DELAY = 0.25
+
+    def __init__(self, backend, first_seeds: set[int]) -> None:
+        self.backend, self.first_seeds = backend, first_seeds
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def generate(self, prompt, sampling):
+        if sampling.seed not in self.first_seeds:
+            time.sleep(self.DELAY)
+        with self.lock:
+            self.calls += 1
+        return self.backend.generate(prompt, sampling)
+
+
+@pytest.mark.parametrize("parallel", [1, 2, 4])
+def test_interrupt_cancels_the_samples_not_started(tmp_path, monkeypatch, parallel):
+    """A KeyboardInterrupt in the main thread, here while it writes the first
+    group, leaves only the samples already running to finish, each with at
+    most its primary and its re-inference call: the samples queued behind
+    them never run."""
+    monkeypatch.chdir(tmp_path)
+    workload.generate("w", SEED, workload.Shape(queries=12, docs=4, doc_tokens=(40, 80)))
+    first = json.loads(Path("w/dataset.jsonl").read_text("utf-8").splitlines()[0])["id"]
+    first_seeds = {derive_seed(first, i, 0) for i in range(workload.K)}
+    backends = []
+    make_backend = cli.make_backend
+
+    def slow_backend(*args, **kwargs):
+        backends.append(_SlowPastTheFirstQuery(make_backend(*args, **kwargs), first_seeds))
+        return backends[0]
+
+    calls_at_interrupt = []
+
+    def interrupt(fh, records):
+        calls_at_interrupt.append(backends[0].calls)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "make_backend", slow_backend)
+    monkeypatch.setattr(cli, "write_rollout_jsonl", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        _rollout("cut", str(parallel))
+    assert backends[0].calls - calls_at_interrupt[0] <= parallel * workload.K * 2
