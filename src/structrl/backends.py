@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Protocol
 from urllib.parse import urlsplit
 
-from .dataset import is_finite_number, parse_json
+from .dataset import is_finite_number, read_json
 from .errors import BackendError
 from .grpo import TokenLogProbs
 
@@ -85,9 +85,7 @@ class MockBackend:
         self.fixtures_dir = Path(fixtures_dir)
         # read once here, before any thread can call generate
         rules_path = self.fixtures_dir / "rules.json"
-        self._rules: list[dict] = (
-            parse_json(rules_path.read_text("utf-8"), rules_path) if rules_path.exists() else []
-        )
+        self._rules: list[dict] = read_json(rules_path) if rules_path.exists() else []
 
     def generate(self, prompt: str, sampling: SamplingParams) -> Generation:
         digest = prompt_digest(prompt, sampling.seed)

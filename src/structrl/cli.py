@@ -29,8 +29,8 @@ from .density import MATCHERS, generate_synthetic, run_corpus
 from ._textnorm import norm_tokens
 from .backends import ENDPOINT_ENV, make_backend
 from .errors import MissingField, ParseError, StructRLError, check_least
-from .grpo import ObjectiveConfig, objective, write_training_signals
-from .reward import LAMBDA_LEAST, LambdaSchedule
+from .grpo import ObjectiveConfig, mean, objective, write_training_signals
+from .reward import LAMBDA_LEAST, LambdaSchedule, check_schedule
 from .rollout import RolloutConfig, read_rollout_jsonl, rescore_records, run_rollouts, write_rollout_jsonl
 from .trajectory import DocIndex, Rule, parse_trajectory, validate
 
@@ -78,14 +78,13 @@ SIDECAR_KEYS = {"command", "config", "dataset", "out"}
 STRICT_RULES = {Rule.NO_ANSWER, Rule.PLACEHOLDER_FORMAT, Rule.PLACEHOLDER_ANSWER}
 
 
-def parse_schedule(value: float | str) -> LambdaSchedule:
-    """Parse a number V, 'constant:V' or 'linear:START:END:STEPS'."""
+def parse_schedule(value: float | str, name: str = "lambda") -> LambdaSchedule:
+    """Parse a number V, 'constant:V' or 'linear:START:END:STEPS'; every
+    error calls the value ``name``."""
     parts = str(value).split(":")
     if len(parts) == 1:
         parts = ["constant", *parts]
     args = None
-    # only the number conversions sit in the try: a value the schedule itself
-    # rejects, such as a negative lambda, keeps its own message
     try:
         if parts[0] == "constant" and len(parts) == 2:
             args = (float(parts[1]), float(parts[1]), 1)
@@ -95,14 +94,16 @@ def parse_schedule(value: float | str) -> LambdaSchedule:
         pass
     if args is None:
         raise ValueError(
-            f"bad lambda {value!r}: want V, constant:V or linear:START:END:STEPS"
+            f"{name} must be V, constant:V or linear:START:END:STEPS, got {value!r}"
         )
+    check_schedule(*args, name)
     return LambdaSchedule(*args)
 
 
 def _config_value(path: str, name: str, value: object) -> object:
     """A config-file value checked against its setting's type, then against
-    its least value if it has one; floats are stored as float."""
+    its least value if it has one, or as a schedule if it is lambda; floats
+    are stored as float."""
     kind, default = SETTINGS[name]
     accepted, want = _CONFIG_TYPES[kind]
     if value is None and default is None:
@@ -113,8 +114,11 @@ def _config_value(path: str, name: str, value: object) -> object:
         except OverflowError:
             pass
         else:
+            where = f"{path}: config key {name!r}"
             if name in _LEAST:
-                check_least(f"{path}: config key {name!r}", value, _LEAST[name])
+                check_least(where, value, _LEAST[name])
+            elif name == "lambda":
+                parse_schedule(value, where)
             return value
     raise ValueError(f"{path}: config key {name!r} must be {want}, got {json.dumps(value)}")
 
@@ -124,7 +128,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     resolved = {name: default for name, (_, default) in SETTINGS.items()}
     config_path = getattr(args, "config", None)
     if config_path:
-        loaded = ds.parse_json(Path(config_path).read_text("utf-8"), config_path)
+        loaded = ds.read_json(config_path)
         if not isinstance(loaded, dict):
             raise ValueError(f"{config_path}: config must be a JSON object")
         for key, value in loaded.items():
@@ -179,11 +183,9 @@ def cmd_rollout(args: argparse.Namespace) -> int:
     out_dir = Path(resolved["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     # each group's record and signal lines are written as soon as it is done,
-    # in dataset order; only the summary line's per-pair figures are kept
-    groups = 0
-    totals: list[float] = []
-    with_formats: list[bool] = []
-    self_contained: list[bool] = []
+    # in dataset order; only the summary line's running sums are kept
+    groups = samples = with_formats = self_contained = 0
+    total = 0.0
     with (
         open(out_dir / "rollouts.jsonl", "w", encoding="utf-8") as rollouts,
         open(out_dir / "training_signals.jsonl", "w", encoding="utf-8") as signals,
@@ -194,20 +196,18 @@ def cmd_rollout(args: argparse.Namespace) -> int:
             _export_signals(signals, [record], objective_config)
             groups += 1
             for p in record["pairs"]:
-                totals.append(p["breakdown"]["total"])
-                with_formats.append(any(b["kind"] == "format" for b in p["primary"]["blocks"]))
-                self_contained.append(p["breakdown"]["reinf"] == 1.0)
+                samples += 1
+                total += p["breakdown"]["total"]
+                with_formats += any(b["kind"] == "format" for b in p["primary"]["blocks"])
+                self_contained += p["breakdown"]["reinf"] == 1.0
     _write_sidecar(out_dir, "rollout", resolved)
 
-    if totals:
-        # sum() over each whole list: a running += would round differently
-        # from sum(), whose float sums are compensated on Python >= 3.12
-        n = len(totals)
+    if samples:
         print(
-            f"groups={groups} samples={n} "
-            f"mean_reward={sum(totals) / n:.4f} "
-            f"with_formats={100 * (sum(with_formats) / n):.1f}% "
-            f"self_contained={100 * (sum(self_contained) / n):.1f}%"
+            f"groups={groups} samples={samples} "
+            f"mean_reward={total / samples:.4f} "
+            f"with_formats={100 * (with_formats / samples):.1f}% "
+            f"self_contained={100 * (self_contained / samples):.1f}%"
         )
     else:
         print("groups=0 samples=0")
@@ -245,16 +245,12 @@ def cmd_sweep_lambda(args: argparse.Namespace) -> int:
     rows = []
     for lam in values:
         rescored = rescore_records(records, lam)
-        pairs = [p for r in rescored for p in r["pairs"]]
-        n = len(pairs) or 1
-        rows.append(
-            {
-                "lambda": lam,
-                "mean_total": sum(p["breakdown"]["total"] for p in pairs) / n,
-                "mean_direct": sum(p["breakdown"]["direct"] for p in pairs) / n,
-                "mean_reinf": sum(p["breakdown"]["reinf"] for p in pairs) / n,
-            }
-        )
+        breakdowns = [p["breakdown"] for r in rescored for p in r["pairs"]]
+        row = {"lambda": lam}
+        for name in ("total", "direct", "reinf"):
+            # no records: every mean is 0.0
+            row[f"mean_{name}"] = mean([b[name] for b in breakdowns]) if breakdowns else 0.0
+        rows.append(row)
     if args.format == "json":
         text = json.dumps(rows, indent=2)
     elif args.format == "csv":
@@ -366,7 +362,7 @@ def cmd_density(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     docs: list[str] = []
     if args.docs:
-        docs = ds.parse_json(Path(args.docs).read_text("utf-8"), args.docs)
+        docs = ds.read_json(args.docs)
         _check(ds.is_string_list(docs), "docs must be a JSON list of strings", args.docs, None)
     doc_index = DocIndex(docs)
     strict_hit = False

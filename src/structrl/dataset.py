@@ -69,13 +69,25 @@ class QueryInstance:
         )
 
 
-def _open_text(path: Path, mode: str = "rt") -> IO[str]:
+def _open_text(path: Path, mode: str = "rt", errors: str = "strict") -> IO[str]:
     if path.suffix == ".gz":
-        return gzip.open(path, mode, encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
+        return gzip.open(path, mode, encoding="utf-8", errors=errors)
+    return open(path, mode, encoding="utf-8", errors=errors)
 
 
-def parse_json(text: str, path: object, line: int | None = None) -> object:
+def _not_utf8(path: str | Path) -> ParseError:
+    """The error for a text file that holds a byte that is not UTF-8, naming
+    the first line that holds one, as text mode splits the lines."""
+    with _open_text(Path(path), errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return ParseError("not UTF-8 text", lineno, path)
+    return ParseError("not UTF-8 text", None, path)
+
+
+def _parse_json(text: str, path: object, line: int | None = None) -> object:
     """Decode JSON text read from ``path``; invalid JSON fails naming the file
     and ``line``, or the line of the error within ``text`` when not given."""
     try:
@@ -86,16 +98,31 @@ def parse_json(text: str, path: object, line: int | None = None) -> object:
         raise ParseError("invalid JSON: nested too deeply", line, path) from None
 
 
+def read_json(path: str | Path) -> object:
+    """A whole JSON file, decoded; invalid JSON or a byte that is not UTF-8
+    fails naming the file and the line."""
+    try:
+        with _open_text(Path(path)) as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    return _parse_json(text, path)
+
+
 def read_records(path: str | Path) -> Iterator[tuple[int, object]]:
     """Each non-blank line of a JSONL file, parsed, with its 1-based number.
 
-    Every JSONL input of the package is read here, so a line that is not JSON
-    fails with its file and line number.
+    Every JSONL input of the package is read here, so a line that is not JSON,
+    or not UTF-8, fails with its file and line number.
     """
     with _open_text(Path(path)) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                yield lineno, parse_json(line, path, lineno)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    yield lineno, _parse_json(line, path, lineno)
+        except UnicodeDecodeError:
+            # text mode decodes ahead of the line it returns
+            raise _not_utf8(path) from None
 
 
 def load_jsonl(path: str | Path) -> list[QueryInstance]:
@@ -185,15 +212,13 @@ def convert_file(src: str | Path, dst: str | Path) -> int:
     """Convert a raw JSON array or JSONL file; returns the instance count.
 
     Errors in a JSONL source name the file and line; in a JSON array, the
-    file, and for invalid JSON also the line.
+    file, and for invalid JSON or a byte that is not UTF-8 also the line.
     """
     src = Path(src)
-    with _open_text(src) as fh:
+    # a first byte that is not UTF-8 is not "[": read_records then names its line
+    with _open_text(src, errors="surrogateescape") as fh:
         is_array = fh.read(1) == "["
-        if is_array:
-            fh.seek(0)
-            array = parse_json(fh.read(), src)
-    records = [(None, record) for record in array] if is_array else read_records(src)
+    records = [(None, record) for record in read_json(src)] if is_array else read_records(src)
     seen: set[str] = set()
     instances = []
     for line, record in records:

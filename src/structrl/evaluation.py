@@ -10,6 +10,7 @@ import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 
+from .grpo import mean
 from .reward import exact_match, f1
 
 
@@ -25,10 +26,9 @@ def evaluate(pairs: list[tuple[str, list[str]]]) -> MetricsSummary:
     """Mean per-instance EM and max-F1; error is 1 - EM exactly."""
     if not pairs:
         raise ValueError("evaluation needs at least one (prediction, golds) pair")
-    n = len(pairs)
-    em = sum(exact_match(pred, golds) for pred, golds in pairs) / n
-    f1_mean = sum(f1(pred, golds) for pred, golds in pairs) / n
-    return MetricsSummary(n=n, em=em, f1=f1_mean, error=1.0 - em)
+    em = mean([exact_match(pred, golds) for pred, golds in pairs])
+    f1_mean = mean([f1(pred, golds) for pred, golds in pairs])
+    return MetricsSummary(n=len(pairs), em=em, f1=f1_mean, error=1.0 - em)
 
 
 def format_percent(value: float) -> str:

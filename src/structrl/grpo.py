@@ -49,8 +49,10 @@ class ObjectiveConfig:
             check_least(name, getattr(self, name), least)
 
 
-def _mean(xs: Sequence[float]) -> float:
-    # plain left-to-right sum: the documented deterministic order
+def mean(xs: Sequence[float]) -> float:
+    """A plain left-to-right sum over the count, the documented deterministic
+    order; every float mean the package reports is this one. ``sum()`` of
+    floats is compensated since Python 3.12, so it rounds differently there."""
     total = 0.0
     for x in xs:
         total += x
@@ -63,8 +65,8 @@ def group_advantages(rewards: Sequence[float]) -> AdvantageSet:
         raise ValueError("reward group needs at least one sample")
     if not all(math.isfinite(r) for r in rewards):
         raise ValueError("rewards must be finite")
-    mean = _mean(rewards)
-    return AdvantageSet(tuple(r - mean for r in rewards))
+    center = mean(rewards)
+    return AdvantageSet(tuple(r - center for r in rewards))
 
 
 def clipped_term(ratio: float, advantage: float, epsilon: float) -> float:
@@ -84,14 +86,14 @@ def kl_term(policy: Sequence[float], reference: Sequence[float]) -> float:
         r = ref - p
         per_token.append(math.exp(r) - r - 1.0)
     # exp(r) rounds to 1.0 for |r| near 1e-16, which leaves -r: clamp it
-    return max(0.0, _mean(per_token))
+    return max(0.0, mean(per_token))
 
 
 def sequence_ratio(policy: Sequence[float], behavior: Sequence[float]) -> float:
     """exp of the mean per-token log-ratio policy - behavior; length-normalized by design."""
     if not policy:
         return 1.0
-    return math.exp(_mean([p - b for p, b in zip(policy, behavior)]))
+    return math.exp(mean([p - b for p, b in zip(policy, behavior)]))
 
 
 # a pair without log-probs (a failed sample) counts as no tokens
@@ -126,7 +128,7 @@ def objective(
             group.append({"query_id": record["query"]["id"], "sample_index": i, "reward": reward,
                           "advantage": adv, "ratio": ratio, "clipped_term": surrogate, "kl_term": kl})
         signals.append(group)
-    return _mean(terms), signals
+    return mean(terms), signals
 
 
 def write_training_signals(fh: IO[str], signals: list[list[dict]]) -> None:

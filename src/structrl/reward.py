@@ -95,10 +95,15 @@ class LambdaSchedule:
     steps: int
 
     def __post_init__(self) -> None:
-        check_least("steps", self.steps, 1)
-        # lowest first, so a schedule below zero reports its minimum
-        for value in sorted((self.start, self.end)):
-            check_least("lambda", value, LAMBDA_LEAST)
+        check_schedule(self.start, self.end, self.steps)
+
+
+def check_schedule(start: float, end: float, steps: int, name: str = "lambda") -> None:
+    """The range rule of a schedule; every message calls the weight ``name``."""
+    check_least(f"{name} steps", steps, 1)
+    # lowest first, so a schedule below zero reports its minimum
+    for value in sorted((start, end)):
+        check_least(name, value, LAMBDA_LEAST)
 
 
 def lambda_at(schedule: LambdaSchedule, step: int) -> float:

@@ -228,8 +228,14 @@ class TestResolveConfig:
     @classmethod
     def in_range(cls, name, value):
         """Whether ``value`` has the type of setting ``name`` and, for a
-        bounded setting, is finite and at least its least value."""
+        bounded setting, is finite and at least its least value; for lambda,
+        whether it is a schedule."""
         least = {**RolloutConfig.LEAST, **ObjectiveConfig.LEAST}
+        if name == "lambda" and cls.has_type(name, value):
+            try:
+                parse_schedule(value)
+            except ValueError:
+                return False
         return cls.has_type(name, value) and (name not in least or least[name] <= value < math.inf)
 
     @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -448,7 +454,14 @@ class TestRolloutCommand:
          ("temperature", -0.5, "must be >= 0, got -0.5"), ("beta", -1, "must be >= 0, got -1.0"),
          # json writes and reads an infinity as the bare word Infinity
          ("temperature", math.inf, "must be finite, got inf"),
-         ("epsilon", math.inf, "must be finite, got inf")],
+         ("epsilon", math.inf, "must be finite, got inf"),
+         # lambda is checked as the schedule it names
+         ("lambda", -0.5, "must be >= 0, got -0.5"),
+         ("lambda", "linear:0:-0.2:4", "must be >= 0, got -0.2"),
+         ("lambda", "constant:inf", "must be finite, got inf"),
+         ("lambda", "linear:0:0.2:0", "steps must be >= 1, got 0"),
+         ("lambda", "cosine:0:1:5", "must be V, constant:V or linear:START:END:STEPS, "
+                                    "got 'cosine:0:1:5'")],
     )
     def test_out_of_range_setting_in_a_config_file_exits_before_building_anything(
         self, tmp_path, capsys, monkeypatch, golden_trace, golden_docs, golden_golds,
@@ -467,20 +480,26 @@ class TestRolloutCommand:
         assert capsys.readouterr().err == f"error: {cfg}: config key {key!r} {message}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "key, value, flag, message",
+        [("k", 0, ["--k", "4"], "must be >= 1, got 0"),
+         ("lambda", -0.5, ["--lambda", "0.2"], "must be >= 0, got -0.5")],
+    )
     def test_out_of_range_config_value_fails_even_when_a_flag_overrides_it(
-        self, tmp_path, capsys, monkeypatch, golden_trace, golden_docs, golden_golds
+        self, tmp_path, capsys, monkeypatch, golden_trace, golden_docs, golden_golds,
+        key, value, flag, message,
     ):
         dataset, fixtures = write_fixtures(tmp_path, golden_trace, golden_docs, golden_golds)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"k": 0}), "utf-8")
+        cfg.write_text(json.dumps({key: value}), "utf-8")
         monkeypatch.setattr(cli, "make_backend", lambda *a, **kw: pytest.fail("backend built"))
         out_dir = tmp_path / "out"
         code = main(
             ["rollout", "--dataset", str(dataset), "--fixtures", str(fixtures),
-             "--config", str(cfg), "--k", "4", "--out", str(out_dir)]
+             "--config", str(cfg), *flag, "--out", str(out_dir)]
         )
         assert code == 1
-        assert capsys.readouterr().err == f"error: {cfg}: config key 'k' must be >= 1, got 0\n"
+        assert capsys.readouterr().err == f"error: {cfg}: config key {key!r} {message}\n"
         assert not out_dir.exists()
 
     def test_missing_dataset_exits_nonzero(self, tmp_path, capsys):
@@ -513,7 +532,7 @@ class TestRolloutCommand:
     @pytest.mark.parametrize(
         "value, message",
         [("-0.5", "lambda must be >= 0, got -0.5"),
-         ("linear:0:0.2:0", "steps must be >= 1, got 0"),
+         ("linear:0:0.2:0", "lambda steps must be >= 1, got 0"),
          ("linear:0:-0.2:4", "lambda must be >= 0, got -0.2"),
          ("nan", "lambda must be >= 0, got nan"),
          ("inf", "lambda must be finite, got inf"),
@@ -1180,7 +1199,8 @@ def reader_argv(tmp_path, command, flag, records):
     return argv
 
 
-@pytest.mark.parametrize(
+# a JSONL-reading subcommand, its flag and a record it reads without error
+JSONL_READERS = pytest.mark.parametrize(
     "command, flag, good",
     [
         ("eval", "--predictions", {"id": "q1", "prediction": "x"}),
@@ -1188,14 +1208,53 @@ def reader_argv(tmp_path, command, flag, records):
         ("density", "--corpus", {"facts": ["f q"], "raw_docs": "pad f q"}),
         ("score-export", "--rollouts", {"query": {"id": "q1"}, "pairs": []}),
         ("sweep-lambda", "--rollouts", {"query": {"id": "q1"}, "pairs": []}),
+        ("convert-dataset", "--src",
+         {"id": "q1", "question": "?", "docs": ["d"], "golden_answers": ["x"]}),
     ],
-    ids=["eval", "validate", "density", "score-export", "sweep-lambda"],
+    ids=["eval", "validate", "density", "score-export", "sweep-lambda", "convert-dataset"],
 )
+
+
+@JSONL_READERS
 def test_invalid_json_line_names_file_and_line(tmp_path, capsys, command, flag, good):
     records = tmp_path / "records.jsonl"
     records.write_text(json.dumps(good) + "\n{bad\n", "utf-8")
     assert main(reader_argv(tmp_path, command, flag, records)) == 1
     assert capsys.readouterr().err.startswith(f"error: {records} line 2: invalid JSON: ")
+
+
+@JSONL_READERS
+def test_line_that_is_not_utf8_names_file_and_line(tmp_path, capsys, command, flag, good):
+    # text mode decodes 8 KiB ahead of the line it returns; the blank lines,
+    # which every reader skips, put the bad byte beyond the first such block
+    records = tmp_path / "records.jsonl"
+    records.write_bytes(json.dumps(good).encode("utf-8") + b"\n" * 9000 + b"\xff\n")
+    assert main(reader_argv(tmp_path, command, flag, records)) == 1
+    assert capsys.readouterr().err == f"error: {records} line 9001: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["rollout", "--dataset", "{tmp}/dataset.jsonl", "--fixtures", "{tmp}/fixtures",
+          "--config", "{tmp}/bad", "--out", "{tmp}/out"], "bad"),
+        (["rollout", "--dataset", "{tmp}/dataset.jsonl", "--fixtures", "{tmp}/fixtures",
+          "--out", "{tmp}/out"], "fixtures/rules.json"),
+        (["validate", "--trajectories", "{tmp}/dataset.jsonl", "--docs", "{tmp}/bad"], "bad"),
+        (["convert-dataset", "--src", "{tmp}/bad", "--out", "{tmp}/out"], "bad"),
+    ],
+    ids=["rollout-config", "rollout-rules", "validate-docs", "convert-dataset-array"],
+)
+def test_whole_file_that_is_not_utf8_names_file_and_line(tmp_path, capsys, argv, bad):
+    (tmp_path / "fixtures").mkdir()
+    (tmp_path / "dataset.jsonl").write_text(
+        json.dumps({"id": "q1", "question": "?", "docs": ["d"], "golden_answers": ["x"]}) + "\n",
+        "utf-8",
+    )
+    (tmp_path / bad).write_bytes(b'[\n"\xff"\n]\n')
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {tmp_path / bad} line 2: not UTF-8 text\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from structrl.grpo import (
     clipped_term,
     group_advantages,
     kl_term,
+    mean,
     objective,
     write_training_signals,
 )
@@ -77,6 +78,12 @@ def random_logprobs(rng, n_tokens):
 
 
 SIGNAL_KEYS = ["query_id", "sample_index", "reward", "advantage", "ratio", "clipped_term", "kl_term"]
+
+
+def test_mean_sums_left_to_right():
+    """Every reported mean rounds the same on every Python: a compensated
+    sum(), as Python >= 3.12 has, keeps the 1.0 and would give 1/3."""
+    assert mean([1e16, 1.0, -1e16]) == 0.0
 
 
 class TestAdvantages:

@@ -173,7 +173,7 @@ class TestLambdaSchedule:
         assert lambda_at(sched, 250) == pytest.approx(0.2)
 
     def test_zero_steps_rejected(self):
-        with pytest.raises(ValueError, match="^steps must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match="^lambda steps must be >= 1, got 0$"):
             LambdaSchedule(0.0, 0.2, 0)
 
     @given(st.integers(0, 10_000))
