@@ -224,8 +224,6 @@ def test_interrupted_rollout_keeps_its_finished_groups(tmp_path, monkeypatch, ca
     assert not (cut / "run.log").exists()
 
 
-
-
 class _SlowPastTheFirstQuery:
     """A backend that counts its calls; a call for any query but the first is
     made only after ``DELAY`` seconds, so that the samples of later queries
