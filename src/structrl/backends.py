@@ -71,6 +71,7 @@ def _synthetic_logprobs(digest: str, text: str) -> TokenLogProbs:
 class MockBackend:
     """Deterministic backend reading responses from a fixture directory.
 
+    A fixtures path that is not a directory fails here, before any call.
     Resolution order for a call with digest d = prompt_digest(prompt, seed):
       1. ``<fixtures>/<d>.txt`` verbatim; one that is not UTF-8 text is a
          BackendError, not retryable;
@@ -83,6 +84,8 @@ class MockBackend:
 
     def __init__(self, fixtures_dir: str | Path) -> None:
         self.fixtures_dir = Path(fixtures_dir)
+        if not self.fixtures_dir.is_dir():
+            raise BackendError(f"{fixtures_dir}: fixtures path is not a directory", retryable=False)
         # read once here, before any thread can call generate
         rules_path = self.fixtures_dir / "rules.json"
         self._rules: list[dict] = read_json(rules_path) if rules_path.exists() else []

@@ -28,7 +28,7 @@ from . import evaluation as ev
 from .density import MATCHERS, generate_synthetic, run_corpus
 from ._textnorm import norm_tokens
 from .backends import ENDPOINT_ENV, make_backend
-from .errors import MissingField, ParseError, StructRLError, check_least
+from .errors import StructRLError, check_least
 from .grpo import ObjectiveConfig, mean, objective, write_training_signals
 from .reward import LAMBDA_LEAST, LambdaSchedule, check_schedule
 from .rollout import RolloutConfig, read_rollout_jsonl, rescore_records, run_rollouts, write_rollout_jsonl
@@ -274,30 +274,18 @@ def cmd_sweep_lambda(args: argparse.Namespace) -> int:
     return 0
 
 
-def _field(record: object, name: str, path: str, lineno: int):
-    """``record[name]``; a record without it fails with its file and line."""
-    if isinstance(record, dict) and name in record:
-        return record[name]
-    raise MissingField(name, lineno, path)
-
-
-def _check(ok: bool, message: str, path: str, lineno: int | None) -> None:
-    """Fail with the file and line of the input being read unless ``ok``."""
-    if not ok:
-        raise ParseError(message, lineno, path)
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     instances = {q.id: q for q in ds.load_jsonl(args.dataset)}
     pairs: list[tuple[str, list[str]]] = []
     for lineno, record in ds.read_records(args.predictions):
-        qid = str(_field(record, "id", args.predictions, lineno))
-        if qid not in instances:
-            raise ParseError(f"unknown prediction id {qid!r}", lineno, args.predictions)
-        prediction = _field(record, "prediction", args.predictions, lineno)
-        _check(isinstance(prediction, str), "field 'prediction' must be a string",
-               args.predictions, lineno)
+        qid = str(ds.field(record, "id", args.predictions, lineno))
+        ds.check(qid in instances, f"unknown prediction id {qid!r}", args.predictions, lineno)
+        prediction = ds.field(record, "prediction", args.predictions, lineno)
+        ds.check(isinstance(prediction, str), "field 'prediction' must be a string",
+                 args.predictions, lineno)
         pairs.append((prediction, list(instances[qid].golds)))
+    ds.check(bool(pairs), "evaluation needs at least one (prediction, golds) pair",
+             args.predictions, None)
     summary = ev.evaluate(pairs)
     name = Path(args.dataset).stem
     print(ev.report({name: summary}, args.format or "text"), end="")
@@ -310,28 +298,28 @@ def _corpus_instances(path: str) -> list[dict]:
     every fact must have a token."""
     instances = []
     for lineno, record in ds.read_records(path):
-        raw = _field(record, "raw_docs", path, lineno)
+        raw = ds.field(record, "raw_docs", path, lineno)
         if ds.is_string_list(raw):
             raw = "\n".join(raw)
-        _check(isinstance(raw, str), "field 'raw_docs' must be a string or a list of strings",
-               path, lineno)
-        _check(bool(norm_tokens(raw)), "field 'raw_docs' has no tokens", path, lineno)
+        ds.check(isinstance(raw, str), "field 'raw_docs' must be a string or a list of strings",
+                 path, lineno)
+        ds.check(bool(norm_tokens(raw)), "field 'raw_docs' has no tokens", path, lineno)
         candidates = record.get("candidates", [])
-        _check(isinstance(candidates, list), "field 'candidates' must be a list", path, lineno)
+        ds.check(isinstance(candidates, list), "field 'candidates' must be a list", path, lineno)
         for c in candidates:
-            label, body = _field(c, "label", path, lineno), _field(c, "body", path, lineno)
-            _check(isinstance(label, str) and bool(label),
-                   "candidate 'label' must be a non-empty string", path, lineno)
-            _check(isinstance(body, str) and bool(norm_tokens(body)),
-                   "candidate 'body' must be a string with a token", path, lineno)
+            label, body = ds.field(c, "label", path, lineno), ds.field(c, "body", path, lineno)
+            ds.check(isinstance(label, str) and bool(label),
+                     "candidate 'label' must be a non-empty string", path, lineno)
+            ds.check(isinstance(body, str) and bool(norm_tokens(body)),
+                     "candidate 'body' must be a string with a token", path, lineno)
         matcher = record.get("matcher", MATCHERS[0])
-        _check(matcher in MATCHERS, f"field 'matcher' must be one of {list(MATCHERS)}",
-               path, lineno)
-        facts = _field(record, "facts", path, lineno)
-        _check(ds.is_string_list(facts), "field 'facts' must be a list of strings", path, lineno)
-        _check(bool(facts), "field 'facts' must not be empty", path, lineno)
+        ds.check(matcher in MATCHERS, f"field 'matcher' must be one of {list(MATCHERS)}",
+                 path, lineno)
+        facts = ds.field(record, "facts", path, lineno)
+        ds.check(ds.is_string_list(facts), "field 'facts' must be a list of strings", path, lineno)
+        ds.check(bool(facts), "field 'facts' must not be empty", path, lineno)
         for fact in facts:
-            _check(bool(norm_tokens(fact)), f"fact {fact!r} has no tokens", path, lineno)
+            ds.check(bool(norm_tokens(fact)), f"fact {fact!r} has no tokens", path, lineno)
         instances.append(
             {"raw_docs": raw, "candidates": candidates, "facts": facts, "matcher": matcher}
         )
@@ -363,15 +351,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
     docs: list[str] = []
     if args.docs:
         docs = ds.read_json(args.docs)
-        _check(ds.is_string_list(docs), "docs must be a JSON list of strings", args.docs, None)
+        ds.check(ds.is_string_list(docs), "docs must be a JSON list of strings", args.docs, None)
     doc_index = DocIndex(docs)
     strict_hit = False
     for lineno, record in ds.read_records(args.trajectories):
-        if isinstance(record, str):
-            raw = record
-        else:
-            raw = _field(record, "raw", args.trajectories, lineno)
-        _check(isinstance(raw, str), "field 'raw' must be a string", args.trajectories, lineno)
+        raw = (record if isinstance(record, str)
+               else ds.field(record, "raw", args.trajectories, lineno))
+        ds.check(isinstance(raw, str), "field 'raw' must be a string", args.trajectories, lineno)
         report = validate(parse_trajectory(raw), doc_index)
         if report.rules() & STRICT_RULES:
             strict_hit = True

@@ -15,11 +15,24 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
-from .errors import MissingField, ParseError, check_least
+from .errors import ParseError, check_least
 
 REQUIRED_FIELDS = ("id", "question", "docs", "golden_answers")
+
+
+def check(ok: bool, message: str, path: object, line: int | None) -> None:
+    """The one check of a record read from disk: unless ``ok``, fail with
+    ``message``, naming the file and, when known, the record's line."""
+    if not ok:
+        raise ParseError(message, line, path)
+
+
+def field(record: object, name: str, path: object, line: int | None) -> object:
+    """``record[name]``; a record without it fails with ``missing field 'NAME'``."""
+    check(isinstance(record, dict) and name in record, f"missing field {name!r}", path, line)
+    return record[name]
 
 
 def is_string_list(value: object) -> bool:
@@ -48,19 +61,16 @@ class QueryInstance:
         }
 
     @classmethod
-    def from_dict(cls, d: dict, line: int | None = None, path: object = None) -> "QueryInstance":
+    def from_dict(cls, d: object, line: int | None = None, path: object = None) -> "QueryInstance":
+        check(isinstance(d, dict), "record is not a JSON object", path, line)
         for name in REQUIRED_FIELDS:
-            if name not in d:
-                raise MissingField(name, line, path)
-        if not isinstance(d["question"], str):
-            raise ParseError("field 'question' must be a string", line, path)
+            field(d, name, path, line)
+        check(isinstance(d["question"], str), "field 'question' must be a string", path, line)
         for name in ("docs", "golden_answers"):
             value = d[name]
-            if not is_string_list(value):
-                raise ParseError(f"field {name!r} must be a list of strings", line, path)
+            check(is_string_list(value), f"field {name!r} must be a list of strings", path, line)
             # a query without documents or gold answers cannot be rolled out or scored
-            if not value:
-                raise ParseError(f"field {name!r} is empty", line, path)
+            check(bool(value), f"field {name!r} is empty", path, line)
         return cls(
             id=str(d["id"]),
             question=d["question"],
@@ -125,19 +135,22 @@ def read_records(path: str | Path) -> Iterator[tuple[int, object]]:
             raise _not_utf8(path) from None
 
 
-def load_jsonl(path: str | Path) -> list[QueryInstance]:
-    """Instances in file order; blank lines skipped; ids must be unique."""
+def _instances(numbered: Iterable, path: object, make: Callable) -> list[QueryInstance]:
+    """Each record made an instance by ``make(record, line, path)``, in order;
+    an id seen before fails naming its line."""
     instances: list[QueryInstance] = []
     seen: set[str] = set()
-    for lineno, record in read_records(path):
-        if not isinstance(record, dict):
-            raise ParseError("record is not a JSON object", lineno, path)
-        inst = QueryInstance.from_dict(record, lineno, path)
-        if inst.id in seen:
-            raise ParseError(f"duplicate id {inst.id!r}", lineno, path)
+    for line, record in numbered:
+        inst = make(record, line, path)
+        check(inst.id not in seen, f"duplicate id {inst.id!r}", path, line)
         seen.add(inst.id)
         instances.append(inst)
     return instances
+
+
+def load_jsonl(path: str | Path) -> list[QueryInstance]:
+    """Instances in file order; blank lines skipped; ids must be unique."""
+    return _instances(read_records(path), path, QueryInstance.from_dict)
 
 
 def write_jsonl(path: str | Path, instances: Iterable[QueryInstance]) -> None:
@@ -178,17 +191,13 @@ def convert_record(
     concatenated. Both shapes are checked by `QueryInstance.from_dict`.
     Errors name `path` and `line` when given.
     """
-    if not isinstance(record, dict):
-        raise ParseError("record is not a JSON object", line, path)
-    if not all(name in record for name in REQUIRED_FIELDS):
+    # anything but an object goes on to from_dict, which fails it
+    if isinstance(record, dict) and not all(name in record for name in REQUIRED_FIELDS):
         for name in ("_id", "question", "answer", "context"):
-            if name not in record:
-                raise MissingField(name, line, path)
+            field(record, name, path, line)
         context = record["context"]
-        if not (isinstance(context, list) and all(_is_context_pair(c) for c in context)):
-            raise ParseError(
-                "field 'context' must be a list of [title, [sentence, ...]] pairs", line, path
-            )
+        check(isinstance(context, list) and all(_is_context_pair(c) for c in context),
+              "field 'context' must be a list of [title, [sentence, ...]] pairs", path, line)
         record = {
             "id": record["_id"],
             "question": record["question"],
@@ -219,13 +228,6 @@ def convert_file(src: str | Path, dst: str | Path) -> int:
     with _open_text(src, errors="surrogateescape") as fh:
         is_array = fh.read(1) == "["
     records = [(None, record) for record in read_json(src)] if is_array else read_records(src)
-    seen: set[str] = set()
-    instances = []
-    for line, record in records:
-        inst = convert_record(record, line, src)
-        if inst.id in seen:
-            raise ParseError(f"duplicate id {inst.id!r}", line, src)
-        seen.add(inst.id)
-        instances.append(inst)
+    instances = _instances(records, src, convert_record)
     write_jsonl(dst, instances)
     return len(instances)

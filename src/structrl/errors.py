@@ -6,7 +6,8 @@ One type per kind of failure:
   sample larger than its population) raises the built-in ``ValueError``;
   every bounded number is checked by ``check_least``;
 - a record read from disk that is malformed raises ``ParseError``, naming,
-  when known, the file and the 1-based line number of the record;
+  when known, the file and the 1-based line number of the record; it is
+  raised in ``dataset`` only, most often by ``dataset.check``;
 - a failed generation call raises ``BackendError``.
 
 The last two inherit from StructRLError, so the CLI catches package failures
@@ -53,10 +54,3 @@ class ParseError(StructRLError):
         super().__init__(f"{' '.join(where)}: {message}" if where else message)
         self.line = line
 
-
-class MissingField(ParseError):
-    """Record lacks a required field."""
-
-    def __init__(self, field: str, line: int | None = None, path: object = None) -> None:
-        super().__init__(f"missing field {field!r}", line, path)
-        self.field = field

@@ -33,8 +33,8 @@ from pathlib import Path
 from typing import IO, Callable, ClassVar, Iterable, Iterator
 
 from .backends import Generation, GenerationBackend, SamplingParams
-from .dataset import QueryInstance, is_finite_number, read_records
-from .errors import BackendError, ParseError, check_least
+from .dataset import QueryInstance, check, is_finite_number, read_records
+from .errors import BackendError, check_least
 from .grpo import AdvantageSet, TokenLogProbs, group_advantages
 from .prompting import build_main_prompt, build_reinference_prompt
 from .reward import (
@@ -299,9 +299,7 @@ def read_rollout_jsonl(path: str | Path) -> list[dict]:
     """
     numbered = list(read_records(path))
     for lineno, record in numbered:
-        problem = _record_problem(record)
-        if problem:
-            raise ParseError(problem, lineno, path)
+        _check_record(record, path, lineno)
     return [record for _, record in numbered]
 
 
@@ -329,33 +327,30 @@ def _logprobs_ok(lp: object) -> bool:
         return False
 
 
-def _record_problem(record: object) -> str | None:
-    """What keeps a stored group record from being scored, or None."""
-    if not isinstance(record, dict):
-        return "record is not a JSON object"
+def _check_record(record: object, path: object, line: int) -> None:
+    """Fail unless a stored group record holds what scoring reads."""
+    check(isinstance(record, dict), "record is not a JSON object", path, line)
     query = record.get("query")
-    if not (isinstance(query, dict) and isinstance(query.get("id"), str)):
-        return "field 'query.id' must be a string"
+    check(isinstance(query, dict) and isinstance(query.get("id"), str),
+          "field 'query.id' must be a string", path, line)
     pairs = record.get("pairs")
-    if not (isinstance(pairs, list) and pairs and all(isinstance(p, dict) for p in pairs)):
-        return "field 'pairs' must be a non-empty list of objects"
+    check(isinstance(pairs, list) and bool(pairs) and all(isinstance(p, dict) for p in pairs),
+          "field 'pairs' must be a non-empty list of objects", path, line)
     for i, pair in enumerate(pairs):
         breakdown = pair.get("breakdown")
-        if not isinstance(breakdown, dict):
-            return f"field 'pairs[{i}].breakdown' must be an object"
+        check(isinstance(breakdown, dict), f"field 'pairs[{i}].breakdown' must be an object",
+              path, line)
         # direct and reinf are match scores; bounding them keeps every
         # re-scored total finite at any finite lambda
         for name in ("direct", "reinf"):
-            if not (is_finite_number(breakdown.get(name)) and 0 <= breakdown[name] <= 1):
-                return f"field 'pairs[{i}].breakdown.{name}' must be a number in [0, 1]"
-        if not is_finite_number(breakdown.get("total")):
-            return f"field 'pairs[{i}].breakdown.total' must be a finite number"
-        if not _logprobs_ok(pair.get("logprobs")):
-            return (
-                f"field 'pairs[{i}].logprobs' must be null or lists 'policy', 'reference' "
-                f"and 'behavior' of one length, within {_MAX_LOG_GAP:g} of each other per token"
-            )
-    return None
+            check(is_finite_number(breakdown.get(name)) and 0 <= breakdown[name] <= 1,
+                  f"field 'pairs[{i}].breakdown.{name}' must be a number in [0, 1]", path, line)
+        check(is_finite_number(breakdown.get("total")),
+              f"field 'pairs[{i}].breakdown.total' must be a finite number", path, line)
+        check(_logprobs_ok(pair.get("logprobs")),
+              f"field 'pairs[{i}].logprobs' must be null or lists 'policy', 'reference' "
+              f"and 'behavior' of one length, within {_MAX_LOG_GAP:g} of each other per token",
+              path, line)
 
 
 def rescore_records(records: list[dict], lambda_: float) -> list[dict]:

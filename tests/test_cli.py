@@ -11,6 +11,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -412,6 +413,23 @@ class TestRolloutCommand:
         )
         assert code == 1
         assert capsys.readouterr().err == f"error: {cfg}: unknown config key {key!r}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_fixtures_path_that_is_not_a_directory_exits_before_out(
+        self, tmp_path, capsys, golden_trace, golden_docs, golden_golds, kind
+    ):
+        dataset, _ = write_fixtures(tmp_path, golden_trace, golden_docs, golden_golds)
+        fixtures = tmp_path / "not-fixtures"
+        if kind == "file":
+            fixtures.write_text("[]", "utf-8")
+        out_dir = tmp_path / "out"
+        code = main(
+            ["rollout", "--dataset", str(dataset), "--fixtures", str(fixtures),
+             "--out", str(out_dir)]
+        )
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {fixtures}: fixtures path is not a directory\n")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
@@ -1145,40 +1163,175 @@ ROLLOUT_FIELDS = [
     ("pairs", 0, "logprobs"),
     *(("pairs", 0, "logprobs", role) for role in ("policy", "reference", "behavior")),
 ]
+QUERY = {"id": "q1", "question": "?", "docs": ["d"], "golden_answers": ["x"]}
+DATASET = [QUERY, {**QUERY, "id": "q2", "golden_answers": ["y"]}]
+QUERY_FIELDS = [
+    (), ("id",), ("question",), ("docs",), ("docs", 0), ("golden_answers",),
+    ("golden_answers", 0),
+]
+RAW_FIELDS = [
+    (), ("_id",), ("question",), ("answer",), ("context",), ("context", 0),
+    ("context", 0, 0), ("context", 0, 1), ("context", 0, 1, 0),
+]
+# every setting but backend, whose unknown kind fails in make_backend without
+# naming the config file
+CONFIG = {
+    "k": 2, "lambda": 0.2, "epsilon": 0.2, "beta": 0.001, "seed": 0, "parallel": 1,
+    "temperature": 1.0, "max_tokens": 64, "retries": 0, "model": "m",
+    "fixtures": "elsewhere", "endpoint": None,
+}
+ROLLOUT_ARGV = ["rollout", "--dataset", "{w}/dataset.jsonl", "--fixtures", "{w}/fixtures",
+                "--k", "2", "--parallel", "1", "--out", "{w}/out"]
+VALIDATE_ARGV = ["validate", "--trajectories", "{w}/trajectories.jsonl", "--docs", "{w}/docs.json"]
 
 
-@settings(max_examples=200, deadline=None,
+def at_line(index, fields):
+    """Field paths into line ``index`` of a JSONL file."""
+    return [(index, *field) for field in fields]
+
+
+# the valid input files of the readers below: one value per line of a .jsonl
+# file, else the whole file's value
+INPUTS = {
+    "dataset.jsonl": DATASET,
+    "config.json": CONFIG,
+    "raw.jsonl": [RAW_RECORD, {**QUERY, "id": "b"}],
+    "raw.json": [RAW_RECORD, {**QUERY, "id": "b"}],
+    "predictions.jsonl": [{"id": "q1", "prediction": "x"}, {"id": "q2", "prediction": "z"}],
+    "rollouts.jsonl": [ROLLOUT_RECORD, ROLLOUT_RECORD],
+    "corpus.jsonl": [{**CORPUS_RECORD, "raw_docs": ["pad", "f q"], "matcher": "token_subset"},
+                     CORPUS_RECORD],
+    "trajectories.jsonl": [{"raw": "<answer>x</answer>"}, "<answer>y</answer>"],
+    "docs.json": ["d one", "d two"],
+}
+# every command that reads a file -> its arguments, the input file that a
+# draw mutates, and the field paths it reads there, at --parallel 1 and K <= 2
+READERS = {
+    "rollout-dataset": (ROLLOUT_ARGV, "dataset.jsonl", at_line(0, QUERY_FIELDS)
+                        + at_line(1, QUERY_FIELDS)),
+    "rollout-config": ([*ROLLOUT_ARGV, "--config", "{w}/config.json"], "config.json",
+                       [(), *((key,) for key in CONFIG)]),
+    "sample": (["sample", "--dataset", "{w}/dataset.jsonl", "--n", "1", "--out", "{w}/out"],
+               "dataset.jsonl", at_line(1, QUERY_FIELDS)),
+    "convert-dataset-jsonl": (["convert-dataset", "--src", "{w}/raw.jsonl", "--out", "{w}/out"],
+                              "raw.jsonl", at_line(0, RAW_FIELDS) + at_line(1, QUERY_FIELDS)),
+    "convert-dataset-array": (["convert-dataset", "--src", "{w}/raw.json", "--out", "{w}/out"],
+                              "raw.json", [(), *at_line(0, RAW_FIELDS), *at_line(1, QUERY_FIELDS)]),
+    "eval": (["eval", "--predictions", "{w}/predictions.jsonl", "--dataset", "{w}/dataset.jsonl"],
+             "predictions.jsonl", at_line(1, [(), ("id",), ("prediction",)])),
+    "score-export": (["score-export", "--rollouts", "{w}/rollouts.jsonl", "--out", "{w}/out"],
+                     "rollouts.jsonl", at_line(1, ROLLOUT_FIELDS)),
+    "sweep-lambda": (["sweep-lambda", "--rollouts", "{w}/rollouts.jsonl", "--out", "{w}/out"],
+                     "rollouts.jsonl", at_line(1, ROLLOUT_FIELDS)),
+    "density": (["density", "--corpus", "{w}/corpus.jsonl", "--out", "{w}/out"], "corpus.jsonl",
+                at_line(0, [(), ("raw_docs",), ("raw_docs", 1), ("facts",), ("facts", 0),
+                            ("candidates",), ("candidates", 0), ("candidates", 0, "label"),
+                            ("candidates", 0, "body"), ("matcher",)])),
+    "validate-trajectories": (VALIDATE_ARGV, "trajectories.jsonl", [(0,), (0, "raw"), (1,)]),
+    "validate-docs": (VALIDATE_ARGV, "docs.json", [(), (0,), (1,)]),
+}
+# what a draw does to the input: swap a JSON value in at a field path, write
+# that field's key twice, or one change to the file's bytes
+MUTATIONS = ["value", "repeated-key", "deep", "not-utf8", "cut", "bom", "crlf", "cr", "blank"]
+# a k of 10**30 runs for ever, and a large --parallel would start N x K threads
+COUNTS = ("k", "parallel", "retries")
+# stands where the drawn text goes, which deep nesting and a repeated key make
+# text that no JSON value serializes to
+SWAPPED = "\x00swapped\x00"
+
+
+def small_counts(value):
+    """Whether ``value`` sets none of COUNTS above 4."""
+    return not (isinstance(value, dict)
+                and any(type(value.get(n)) is int and value[n] > 4 for n in COUNTS))
+
+
+def input_text(name, value):
+    """The text of input file ``name`` holding ``value``."""
+    if name.endswith(".jsonl"):
+        return "".join(json.dumps(line) + "\n" for line in value)
+    return json.dumps(value, indent=1) + "\n"
+
+
+def mutated_input(data, name, paths):
+    """The bytes of input file ``name`` after one drawn mutation."""
+    keyed = [path for path in paths if path and isinstance(path[-1], str)]
+    kind = data.draw(st.sampled_from([m for m in MUTATIONS if keyed or m != "repeated-key"]))
+    valid = input_text(name, INPUTS[name]).encode("utf-8")
+    if kind in ("value", "repeated-key", "deep"):
+        path = data.draw(st.sampled_from(keyed if kind == "repeated-key" else paths))
+        swapped = copy.deepcopy(INPUTS[name])
+        if path:
+            target = swapped
+            for key in path[:-1]:
+                target = target[key]
+            original, target[path[-1]] = target[path[-1]], SWAPPED
+        else:
+            original, swapped = swapped, SWAPPED
+        if kind == "deep":
+            depth = data.draw(st.sampled_from([100, 900, 100_000]))
+            text = "[" * depth + "]" * depth
+        else:
+            value = data.draw(JSON_VALUES.filter(lambda v: small_counts({path[-1]: v} if path else v)))
+            text = json.dumps(value)
+            if kind == "repeated-key":
+                pair = [json.dumps(original), text]
+                if data.draw(st.booleans()):
+                    pair.reverse()
+                text = f"{pair[0]}, {json.dumps(path[-1])}: {pair[1]}"
+        return input_text(name, swapped).replace(json.dumps(SWAPPED), text, 1).encode("utf-8")
+    if kind == "not-utf8":
+        at = data.draw(st.integers(0, len(valid)))
+        return valid[:at] + b"\xff" + valid[at:]
+    if kind == "cut":
+        return valid[:data.draw(st.integers(0, len(valid) - 1))]
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + valid
+    if kind in ("crlf", "cr"):
+        return valid.replace(b"\n", b"\r\n" if kind == "crlf" else b"\r")
+    lines = valid.split(b"\n")
+    lines.insert(data.draw(st.integers(0, len(lines) - 1)), b"")
+    return b"\n".join(lines)
+
+
+@settings(max_examples=600, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    command=st.sampled_from(["score-export", "sweep-lambda"]),
-    where=st.sampled_from(ROLLOUT_FIELDS),
-    value=JSON_VALUES,
-)
+@given(reader=st.sampled_from(sorted(READERS)), data=st.data())
 def test_any_value_in_a_stored_rollout_scores_or_names_file_and_line(
-    tmp_path, capsys, command, where, value
+    tmp_path, capsys, monkeypatch, reader, data
 ):
-    """Whatever JSON value, NaN and infinities included, takes the place of
-    line 2 or of one field the scoring path reads, the command exits 0 or
-    prints one error naming the file and line 2; nothing else escapes."""
-    bad = copy.deepcopy(ROLLOUT_RECORD)
-    if where:
-        *parents, last = where
-        target = bad
-        for key in parents:
-            target = target[key]
-        target[last] = value
-    else:
-        bad = value
-    records = tmp_path / "records.jsonl"
-    records.write_text(json.dumps(ROLLOUT_RECORD) + "\n" + json.dumps(bad) + "\n", "utf-8")
+    """Every command that reads a file, given one valid input in which a
+    drawn JSON value, NaN and infinities included, takes the place of one
+    field it reads, or one of its bytes is changed: the command exits 0, or
+    prints one error naming the file, and its line if it has one, and nothing
+    else, making no --out. Only validate streams: it may print the lines
+    before the bad one."""
+    monkeypatch.delenv("STRUCTRL_ENDPOINT", raising=False)
+    argv, name, paths = READERS[reader]
+    work = tmp_path / "w"
+    shutil.rmtree(work, ignore_errors=True)
+    (work / "fixtures").mkdir(parents=True)
+    (work / "fixtures" / "rules.json").write_text(
+        json.dumps([{"contains": "", "response": PLAIN_RESPONSE}]), "utf-8"
+    )
+    for other, value in INPUTS.items():
+        (work / other).write_text(input_text(other, value), "utf-8")
+    (work / name).write_bytes(mutated_input(data, name, paths))
     capsys.readouterr()
-    code = main(reader_argv(tmp_path, command, "--rollouts", records))
-    err = capsys.readouterr().err
+    code = main([arg.format(w=work) for arg in argv])
+    out, err = capsys.readouterr()
     if code == 0:
         assert err == ""
+        return
+    assert code == 1
+    assert not (work / "out").exists()
+    match = re.fullmatch(f"error: {re.escape(str(work / name))}(?: line (\\d+))?: [^\n]+\n", err)
+    # --n 1 of a dataset cut to no line: it is --n that is wrong, and it says so
+    assert match or (reader == "sample" and err == "error: asked for 1 of 0 instances\n"), err
+    if reader == "validate-trajectories" and match[1]:
+        assert all(json.loads(line)["index"] < int(match[1]) - 1 for line in out.splitlines())
     else:
-        assert code == 1
-        assert re.fullmatch(f"error: {re.escape(str(records))} line 2: [^\n]+\n", err)
+        assert out == ""
 
 
 def reader_argv(tmp_path, command, flag, records):

@@ -1,6 +1,7 @@
 """Byte pins of every artifact that ``rollout`` and ``density`` stream to
 disk, on the benchmark's workload shapes, and what an interrupted rollout
-leaves behind.
+leaves behind; also of what ``density --corpus`` and ``convert-dataset``
+write from small files, which pins how their readers check each record.
 
 The workloads come from ``benches/workload.py``, imported read-only. The
 mock-k8 pins were computed before the writers streamed, when each artifact
@@ -72,6 +73,40 @@ SWEEP_PINS = {
 CLIPPED_PIN = "9c65018104b79af44e4b4dad04916b33bac816ad5c3dac35dc67ade155a5b42c"
 # density --synthetic --n 2000 --seed 9, the offline benchmark's size
 DENSITY_PIN = "33e6e584861ebdada04c8d6e193ac4091910624793637d59723efcaac2a6b2e9"
+# density --corpus on CORPUS: both matchers, a raw_docs list, and an instance
+# without candidates; the report, then the printed line
+CORPUS_PINS = (
+    "eed9f0da9f621c99742ee99a3735623d06183918a9535c85a83ef8fa416b6f0e",
+    "c2060a7f4a1d90ed3fd1099de5f7f3010a06b6cba07b44b2343fb1443866be4c",
+)
+CORPUS = [
+    {"raw_docs": ["Monty Banks was born in 1897 in Cesena.",
+                  "He directed The Girl in Possession in 1934."],
+     "facts": ["monty banks 1897", "girl in possession"], "matcher": "token_subset",
+     "candidates": [{"label": "Table", "body": "Monty Banks | 1897 | The Girl in Possession"},
+                    {"label": "Summary", "body": "Banks (1897) made Girl in Possession"}]},
+    {"raw_docs": "Rome is the capital of Italy and lies on the Tiber river.",
+     "facts": ["capital of italy", "tiber"],
+     "candidates": [{"label": "Catalogue", "body": "- Rome: capital of Italy"},
+                    {"label": "Knowledge Graph",
+                     "body": "(Rome, capital of Italy) (Rome, on, Tiber)"}]},
+    {"raw_docs": "Paris is in France.", "facts": ["paris"]},
+]
+# convert-dataset on CONVERT_SOURCE, which mixes raw and package-schema
+# records, as JSONL and as a JSON array alike; the written dataset, then the
+# printed line
+CONVERT_PINS = (
+    "737fbddc5c7421aedc113bbd751e821ea05e85f894ba5eb734d15db091b4a803",
+    "35ac89938dc4bffcc334c6501be3977439ebc110e3e9dd603f2b014885859c1c",
+)
+CONVERT_SOURCE = [
+    {"_id": "r1", "question": "Who directed it?", "answer": "Monty Banks",
+     "context": [["Film", ["It was directed ", "by Monty Banks."]], ["Banks", ["Born 1897."]]]},
+    {"id": "p1", "question": "Capital of Italy?", "docs": ["Rome is the capital."],
+     "golden_answers": ["Rome", "Roma"]},
+    {"_id": 7, "question": "Année ?", "answer": "1947",
+     "context": [["Así", ["Estrenada ", "en 1947."]]]},
+]
 
 
 def _sha(data: bytes) -> str:
@@ -176,6 +211,29 @@ def test_synthetic_density_report_bytes_are_pinned(tmp_path, monkeypatch, capsys
     assert code == 0
     assert "instances=2000 pass=2000" in capsys.readouterr().out
     assert _sha(Path("report.json").read_bytes()) == DENSITY_PIN, _versions()
+
+
+def test_corpus_density_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("corpus.jsonl").write_text(
+        "".join(json.dumps(record) + "\n" for record in CORPUS), "utf-8"
+    )
+    assert main(["density", "--corpus", "corpus.jsonl", "--out", "report.json"]) == 0
+    printed = capsys.readouterr().out.encode("utf-8")
+    assert (_sha(Path("report.json").read_bytes()), _sha(printed)) == CORPUS_PINS
+
+
+@pytest.mark.parametrize("suffix", ["jsonl", "json"])
+def test_converted_dataset_bytes_are_pinned(tmp_path, monkeypatch, capsys, suffix):
+    monkeypatch.chdir(tmp_path)
+    if suffix == "jsonl":
+        text = "".join(json.dumps(record) + "\n" for record in CONVERT_SOURCE)
+    else:
+        text = json.dumps(CONVERT_SOURCE, indent=1)
+    Path(f"raw.{suffix}").write_text(text, "utf-8")
+    assert main(["convert-dataset", "--src", f"raw.{suffix}", "--out", "dataset.jsonl"]) == 0
+    printed = capsys.readouterr().out.encode("utf-8")
+    assert (_sha(Path("dataset.jsonl").read_bytes()), _sha(printed)) == CONVERT_PINS
 
 
 SMALL = workload.Shape(queries=6, docs=4, doc_tokens=(40, 80))
