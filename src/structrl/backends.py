@@ -6,25 +6,28 @@ hand-writable and reproducible byte-for-byte. The HTTP backend speaks a
 plain completions-style JSON contract.
 
 numpy is imported by the mock's log-prob draw, on its first call, and not by
-this module: an HTTP rollout never loads it.
+this module: an HTTP rollout never loads it. Likewise ``http.client`` (with
+the ``email`` and ``ssl`` modules it loads) and ``selectors`` are imported by
+the first ``HTTPBackend``: a mock rollout and the commands that call no
+backend never load them.
 """
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import os
-import selectors
-import ssl
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 from urllib.parse import urlsplit
 
 from .dataset import is_finite_number, read_json
 from .errors import BackendError
 from .grpo import TokenLogProbs
+
+if TYPE_CHECKING:
+    import http.client
 
 
 @dataclass(frozen=True)
@@ -111,9 +114,6 @@ ENDPOINT_ENV = "STRUCTRL_ENDPOINT"
 TOKEN_ENV = "STRUCTRL_API_TOKEN"
 # seconds to connect, and to wait on each read of a response
 TIMEOUT_S = 120.0
-# how a reused socket fails before any response when the server closed it
-# while it sat idle between calls
-_STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
 # fresh connections that may wait for a first answer at once: fewer than the 5
 # unaccepted ones that Python's socketserver queues, since the kernel drops a
 # connection attempt that finds the queue full and resends it only after 1 s
@@ -165,6 +165,11 @@ class HTTPBackend:
         url = urlsplit(endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise BackendError(f"endpoint {endpoint!r} is not an http:// or https:// URL")
+        # the HTTP modules, on the first HTTP backend only; see the module docstring
+        import http.client  # noqa: F401
+        import selectors  # noqa: F401
+        import ssl
+
         self.endpoint = endpoint
         self.model = model
         https = url.scheme == "https"
@@ -178,6 +183,8 @@ class HTTPBackend:
         self._opening = threading.BoundedSemaphore(_OPENING)
 
     def _connect(self) -> http.client.HTTPConnection:
+        import http.client
+
         if self._ssl is None:
             conn = http.client.HTTPConnection(self._host, self._port, timeout=TIMEOUT_S)
         else:
@@ -207,6 +214,8 @@ class HTTPBackend:
     def _send_fresh(self, data: bytes) -> http.client.HTTPResponse:
         """POST ``data`` on a new connection, holding an opening slot until
         the server starts to answer or ``_OPEN_WAIT_S`` has passed."""
+        import selectors
+
         with self._opening:
             conn = self._connect()
             conn.request("POST", self._target, data, self._headers())
@@ -217,6 +226,8 @@ class HTTPBackend:
 
     def _post(self, data: bytes) -> tuple[http.client.HTTPResponse, bytes]:
         """POST ``data`` through this thread's connection; return the response and body."""
+        from http.client import RemoteDisconnected
+
         kept = getattr(self._local, "kept", None)
         try:
             if kept is None:
@@ -224,7 +235,7 @@ class HTTPBackend:
             else:
                 try:
                     resp = self._send(kept.conn, data)
-                except _STALE:
+                except (RemoteDisconnected, ConnectionResetError, BrokenPipeError):
                     # the server closed the kept-alive socket before answering
                     kept.conn.close()
                     resp = self._send_fresh(data)
@@ -246,10 +257,13 @@ class HTTPBackend:
             "logprobs": True,
             "seed": sampling.seed,
         }
+        from http.client import HTTPException
+
         try:
-            # bytes, so http.client sends the headers and the body in one write
+            # bytes, which http.client sends whole in one send call with their
+            # Content-Length, after a separate send of the header block
             resp, raw = self._post(json.dumps(body).encode("utf-8"))
-        except (OSError, http.client.HTTPException) as exc:
+        except (OSError, HTTPException) as exc:
             raise BackendError(f"generation request failed: {exc}") from exc
         if 400 <= resp.status < 600:
             kind = "Client" if resp.status < 500 else "Server"
@@ -289,16 +303,20 @@ class HTTPBackend:
         )
 
 
+# every kind make_backend builds
+BACKEND_KINDS = ("mock", "http")
+
+
 def make_backend(
     kind: str,
     fixtures: str | Path | None = None,
     endpoint: str | None = None,
     model: str = "default",
 ) -> GenerationBackend:
-    if kind == "mock":
-        if fixtures is None:
-            raise BackendError("mock backend needs a fixtures directory")
-        return MockBackend(fixtures)
+    if kind not in BACKEND_KINDS:
+        raise BackendError(f"unknown backend kind {kind!r}")
     if kind == "http":
         return HTTPBackend(endpoint=endpoint, model=model)
-    raise BackendError(f"unknown backend kind {kind!r}")
+    if fixtures is None:
+        raise BackendError("mock backend needs a fixtures directory")
+    return MockBackend(fixtures)

@@ -15,19 +15,18 @@ structural, schema, or I/O errors (and for --strict validation findings).
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import os
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 from typing import IO
 
 from . import dataset as ds
-from . import evaluation as ev
 from .density import MATCHERS, generate_synthetic, run_corpus
 from ._textnorm import norm_tokens
-from .backends import ENDPOINT_ENV, make_backend
+from .backends import BACKEND_KINDS, ENDPOINT_ENV, make_backend
 from .errors import StructRLError, check_least
 from .grpo import ObjectiveConfig, mean, objective, write_training_signals
 from .reward import LAMBDA_LEAST, LambdaSchedule, check_schedule
@@ -102,8 +101,8 @@ def parse_schedule(value: float | str, name: str = "lambda") -> LambdaSchedule:
 
 def _config_value(path: str, name: str, value: object) -> object:
     """A config-file value checked against its setting's type, then against
-    its least value if it has one, or as a schedule if it is lambda; floats
-    are stored as float."""
+    its least value if it has one, as a schedule if it is lambda, or as a
+    kind of backend if it is backend; floats are stored as float."""
     kind, default = SETTINGS[name]
     accepted, want = _CONFIG_TYPES[kind]
     if value is None and default is None:
@@ -119,6 +118,9 @@ def _config_value(path: str, name: str, value: object) -> object:
                 check_least(where, value, _LEAST[name])
             elif name == "lambda":
                 parse_schedule(value, where)
+            elif name == "backend" and value not in BACKEND_KINDS:
+                kinds = " or ".join(map(json.dumps, BACKEND_KINDS))
+                raise ValueError(f"{where} must be {kinds}, got {json.dumps(value)}")
             return value
     raise ValueError(f"{path}: config key {name!r} must be {want}, got {json.dumps(value)}")
 
@@ -150,7 +152,7 @@ def _write_sidecar(out_dir: Path, command: str, resolved: dict) -> None:
     (out_dir / "resolved_config.json").write_text(
         json.dumps(serializable, indent=2, ensure_ascii=False) + "\n", "utf-8"
     )
-    stamp = datetime.datetime.now().isoformat(timespec="seconds")
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
     with open(out_dir / "run.log", "a", encoding="utf-8") as fh:
         fh.write(f"{stamp} {command}\n")
 
@@ -275,6 +277,8 @@ def cmd_sweep_lambda(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import evaluation as ev  # only eval renders percentages, with decimal
+
     instances = {q.id: q for q in ds.load_jsonl(args.dataset)}
     pairs: list[tuple[str, list[str]]] = []
     for lineno, record in ds.read_records(args.predictions):

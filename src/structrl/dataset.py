@@ -6,11 +6,11 @@ the common multi-hop distribution shape (`_id`, `answer`, `context` as
 [title, sentences] pairs) onto it.
 
 numpy is imported by ``sample``, on its first call, and not by this module:
-loading, converting and writing datasets never load it.
+loading, converting and writing datasets never load it. Likewise ``gzip`` is
+imported by the first ``.gz`` file opened.
 """
 from __future__ import annotations
 
-import gzip
 import json
 import sys
 from dataclasses import dataclass
@@ -81,6 +81,8 @@ class QueryInstance:
 
 def _open_text(path: Path, mode: str = "rt", errors: str = "strict") -> IO[str]:
     if path.suffix == ".gz":
+        import gzip
+
         return gzip.open(path, mode, encoding="utf-8", errors=errors)
     return open(path, mode, encoding="utf-8", errors=errors)
 

@@ -1,14 +1,14 @@
 """Aggregate EM/F1 over prediction sets and render report tables.
 
 Percentages render with banker's rounding to two decimals so reports are
-deterministic down to the tie-breaking rule.
+deterministic down to the tie-breaking rule. ``decimal`` is imported by the
+first percentage rendered, not by this module.
 """
 from __future__ import annotations
 
 import io
 import json
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal
 
 from .grpo import mean
 from .reward import exact_match, f1
@@ -33,6 +33,8 @@ def evaluate(pairs: list[tuple[str, list[str]]]) -> MetricsSummary:
 
 def format_percent(value: float) -> str:
     """Two-decimal percentage with round-half-even, e.g. 0.7424 -> '74.24'."""
+    from decimal import ROUND_HALF_EVEN, Decimal
+
     return str(
         (Decimal(value) * 100).quantize(Decimal("0.01"), rounding=ROUND_HALF_EVEN)
     )

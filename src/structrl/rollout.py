@@ -19,6 +19,10 @@ per started group is alive.
 so a caller can write the group's record and drop it before the next one
 arrives, as `structrl rollout` does: `write_rollout_jsonl` appends to an open
 file. If the loop stops early, samples that have not started are cancelled.
+At N > 1, the first error that a sample raises on a pool thread also stops
+every sample that has not yet called the backend: each raises that error
+instead, so it reaches the caller with the oldest group still waiting.
+``concurrent.futures`` is imported only then.
 """
 from __future__ import annotations
 
@@ -26,7 +30,6 @@ import hashlib
 import json
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from operator import sub
 from pathlib import Path
@@ -264,8 +267,29 @@ def run_rollouts(
     1 deep at 1, where the samples run in the caller's thread; each group is
     assembled by ``rollout_one`` when it is the oldest one in the window.
     """
-    pool = ThreadPoolExecutor(config.parallel * config.k) if config.parallel > 1 else None
-    run, depth = (map, 1) if pool is None else (pool.map, 2 * config.parallel)
+    pool = None
+    run, depth = map, 1
+    if config.parallel > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(config.parallel * config.k)
+        failed: list[BaseException] = []  # what the samples on the pool have raised
+
+        def pool_run(
+            sample: Callable[[int], TrajectoryPair], indices: range
+        ) -> Iterator[TrajectoryPair]:
+            def stoppable(i: int) -> TrajectoryPair:
+                if failed:
+                    raise failed[0]  # before this sample calls the backend
+                try:
+                    return sample(i)
+                except BaseException as exc:
+                    failed.append(exc)
+                    raise
+
+            return pool.map(stoppable, indices)
+
+        run, depth = pool_run, 2 * config.parallel
     window: deque[tuple] = deque()  # rollout_one's arguments, oldest group first
     try:
         for step, query in enumerate(dataset):

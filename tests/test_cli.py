@@ -6,6 +6,7 @@ importing and running the CLI loads use a fresh interpreter.
 """
 import copy
 import dataclasses
+import gzip
 import hashlib
 import json
 import math
@@ -25,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from structrl import cli
-from structrl.backends import prompt_digest
+from structrl.backends import BACKEND_KINDS, prompt_digest
 from structrl.cli import SETTINGS, build_parser, main, parse_schedule, resolve_config
 from structrl.grpo import ObjectiveConfig
 from structrl.prompting import build_main_prompt, build_reinference_prompt
@@ -230,13 +231,15 @@ class TestResolveConfig:
     def in_range(cls, name, value):
         """Whether ``value`` has the type of setting ``name`` and, for a
         bounded setting, is finite and at least its least value; for lambda,
-        whether it is a schedule."""
+        whether it is a schedule; for backend, whether it is a kind of one."""
         least = {**RolloutConfig.LEAST, **ObjectiveConfig.LEAST}
         if name == "lambda" and cls.has_type(name, value):
             try:
                 parse_schedule(value)
             except ValueError:
                 return False
+        if name == "backend":
+            return value in BACKEND_KINDS
         return cls.has_type(name, value) and (name not in least or least[name] <= value < math.inf)
 
     @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -479,7 +482,9 @@ class TestRolloutCommand:
          ("lambda", "constant:inf", "must be finite, got inf"),
          ("lambda", "linear:0:0.2:0", "steps must be >= 1, got 0"),
          ("lambda", "cosine:0:1:5", "must be V, constant:V or linear:START:END:STEPS, "
-                                    "got 'cosine:0:1:5'")],
+                                    "got 'cosine:0:1:5'"),
+         # backend is checked against the kinds make_backend builds
+         ("backend", "mock2", 'must be "mock" or "http", got "mock2"')],
     )
     def test_out_of_range_setting_in_a_config_file_exits_before_building_anything(
         self, tmp_path, capsys, monkeypatch, golden_trace, golden_docs, golden_golds,
@@ -1173,11 +1178,9 @@ RAW_FIELDS = [
     (), ("_id",), ("question",), ("answer",), ("context",), ("context", 0),
     ("context", 0, 0), ("context", 0, 1), ("context", 0, 1, 0),
 ]
-# every setting but backend, whose unknown kind fails in make_backend without
-# naming the config file
 CONFIG = {
-    "k": 2, "lambda": 0.2, "epsilon": 0.2, "beta": 0.001, "seed": 0, "parallel": 1,
-    "temperature": 1.0, "max_tokens": 64, "retries": 0, "model": "m",
+    "backend": "mock", "k": 2, "lambda": 0.2, "epsilon": 0.2, "beta": 0.001, "seed": 0,
+    "parallel": 1, "temperature": 1.0, "max_tokens": 64, "retries": 0, "model": "m",
     "fixtures": "elsewhere", "endpoint": None,
 }
 ROLLOUT_ARGV = ["rollout", "--dataset", "{w}/dataset.jsonl", "--fixtures", "{w}/fixtures",
@@ -1326,8 +1329,12 @@ def test_any_value_in_a_stored_rollout_scores_or_names_file_and_line(
     assert code == 1
     assert not (work / "out").exists()
     match = re.fullmatch(f"error: {re.escape(str(work / name))}(?: line (\\d+))?: [^\n]+\n", err)
-    # --n 1 of a dataset cut to no line: it is --n that is wrong, and it says so
-    assert match or (reader == "sample" and err == "error: asked for 1 of 0 instances\n"), err
+    # --n 1 of a dataset cut to no line: it is --n that is wrong, and it says so;
+    # so does the endpoint that a config naming the http backend leaves unset
+    assert match or (reader == "sample" and err == "error: asked for 1 of 0 instances\n") or (
+        reader == "rollout-config"
+        and err == "error: no endpoint given and STRUCTRL_ENDPOINT is unset\n"
+    ), err
     if reader == "validate-trajectories" and match[1]:
         assert all(json.loads(line)["index"] < int(match[1]) - 1 for line in out.splitlines())
     else:
@@ -1547,22 +1554,6 @@ class TestConvertAndSample:
         assert "error:" in capsys.readouterr().err
 
 
-def test_importing_the_cli_leaves_requests_unloaded():
-    """The HTTP backend uses only the standard library; requests and urllib3
-    would add their import time to every start-up."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    code = "import sys, structrl.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
-    run = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=60,
-        check=True,
-    )
-    assert run.stdout == "[]\n"
-
-
 class _FixedAnswer(BaseHTTPRequestHandler):
     """Answers every completion request with one formatted answer and log-probs."""
 
@@ -1595,24 +1586,33 @@ def fixed_answer_endpoint():
         thread.join(timeout=10)
 
 
+# the modules that only some steps need, each loaded by the step that first
+# uses it: numpy by a seeded draw; http.client and ssl by an HTTP backend;
+# concurrent.futures by a rollout at --parallel > 1; decimal by eval's
+# percentages; gzip by a .gz file. requests and urllib3 are never loaded
+WATCHED = ["numpy", "http.client", "ssl", "concurrent.futures", "decimal", "gzip",
+           "requests", "urllib3"]
+
 # run in a fresh interpreter: each step is (name, code), and the script prints,
-# per step, whether numpy is then loaded that was not before structrl was
-# imported, so a site hook that loads numpy cannot fail the check
-_NUMPY_PROBE = """
+# per step, the watched modules that it loaded, so one that a site hook loads
+# before structrl is imported cannot fail the check
+_PROBE = """
 import json, sys
-before = set(sys.modules)
+watched, steps = json.loads(sys.argv[1])
+loaded = set(sys.modules)
 added = {}
-for name, code in json.loads(sys.argv[1]):
+for name, code in steps:
     exec(code)
-    added[name] = "numpy" in set(sys.modules) - before
+    added[name] = [m for m in watched if m in set(sys.modules) - loaded]
+    loaded = set(sys.modules)
 print(json.dumps(added))
 """
 
 
-def _numpy_added_by(steps: list[tuple[str, str]], cwd: Path) -> dict:
+def _watched_added_by(steps: list[tuple[str, str]], cwd: Path) -> dict:
     src = str(Path(cli.__file__).resolve().parents[1])
     run = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(steps)],
+        [sys.executable, "-c", _PROBE, json.dumps([WATCHED, steps])],
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
@@ -1623,22 +1623,28 @@ def _numpy_added_by(steps: list[tuple[str, str]], cwd: Path) -> dict:
     return json.loads(run.stdout.splitlines()[-1])
 
 
-def _numpy_probe_dataset(tmp_path: Path) -> None:
+def _probe_dataset(tmp_path: Path) -> None:
     (tmp_path / "fixtures").mkdir()
-    (tmp_path / "data.jsonl").write_text(
-        "".join(
-            json.dumps({"id": f"q{i}", "question": f"question {i}?",
-                        "docs": [f"Rome doc {i}", "filler"], "golden_answers": ["Rome"]}) + "\n"
-            for i in range(4)
-        ),
+    text = "".join(
+        json.dumps({"id": f"q{i}", "question": f"question {i}?",
+                    "docs": [f"Rome doc {i}", "filler"], "golden_answers": ["Rome"]}) + "\n"
+        for i in range(4)
+    )
+    (tmp_path / "data.jsonl").write_text(text, "utf-8")
+    with gzip.open(tmp_path / "data.jsonl.gz", "wt", encoding="utf-8") as fh:
+        fh.write(text)
+    (tmp_path / "predictions.jsonl").write_text(
+        "".join(json.dumps({"id": f"q{i}", "prediction": "Rome"}) + "\n" for i in range(4)),
         "utf-8",
     )
 
 
-def test_http_rollout_and_rescoring_leave_numpy_unloaded(tmp_path, fixed_answer_endpoint):
-    """Only a seeded draw loads numpy: the HTTP path and the re-scoring
-    commands, which serve the training loop, start without it."""
-    _numpy_probe_dataset(tmp_path)
+def test_each_step_loads_only_the_watched_modules_it_uses(tmp_path, fixed_answer_endpoint):
+    """Importing the CLI loads none of WATCHED, and each step loads only
+    the ones it uses: the HTTP path and the re-scoring commands, which serve
+    the training loop, never load numpy, and building a mock backend never
+    loads the HTTP stack."""
+    _probe_dataset(tmp_path)
     ok = "assert {} == 0"
     steps = [
         ("import structrl.cli", "from structrl.cli import main"),
@@ -1651,9 +1657,22 @@ def test_http_rollout_and_rescoring_leave_numpy_unloaded(tmp_path, fixed_answer_
         ("score-export", ok.format(
             "main(['score-export', '--rollouts', 'run/rollouts.jsonl', '--out', 'signals.jsonl'])")),
         ("sweep-lambda", ok.format("main(['sweep-lambda', '--rollouts', 'run/rollouts.jsonl'])")),
+        ("eval", ok.format(
+            "main(['eval', '--predictions', 'predictions.jsonl', '--dataset', 'data.jsonl'])")),
+        ("load_jsonl .gz", "load_jsonl('data.jsonl.gz')"),
     ]
-    added = _numpy_added_by(steps, tmp_path)
-    assert added == {name: False for name, _ in steps}
+    added = _watched_added_by(steps, tmp_path)
+    assert added == {
+        "import structrl.cli": [],
+        "load_jsonl": [],
+        "mock backend": [],
+        "http backend": ["http.client", "ssl"],
+        "rollout": ["concurrent.futures"],
+        "score-export": [],
+        "sweep-lambda": [],
+        "eval": ["decimal"],
+        "load_jsonl .gz": ["gzip"],
+    }
     assert (tmp_path / "signals.jsonl").read_bytes() == (
         tmp_path / "run" / "training_signals.jsonl"
     ).read_bytes()
@@ -1670,13 +1689,14 @@ def test_http_rollout_and_rescoring_leave_numpy_unloaded(tmp_path, fixed_answer_
 )
 def test_seeded_draws_load_numpy(tmp_path, argv):
     """The positive control of the test above: these commands draw from a
-    seeded numpy Generator, so numpy must be loaded once they have run."""
-    _numpy_probe_dataset(tmp_path)
+    seeded numpy Generator, so they load numpy, and none of the other
+    watched modules."""
+    _probe_dataset(tmp_path)
     steps = [
         ("import structrl.cli", "from structrl.cli import main"),
-        (argv[0], f"assert main({argv!r}) == 0; assert 'numpy' in sys.modules"),
+        (argv[0], f"assert main({argv!r}) == 0"),
     ]
-    assert _numpy_added_by(steps, tmp_path)["import structrl.cli"] is False
+    assert _watched_added_by(steps, tmp_path) == {"import structrl.cli": [], argv[0]: ["numpy"]}
 
 
 def test_readme_rollout_synopsis_names_the_flags_of_the_settings():

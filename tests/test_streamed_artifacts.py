@@ -239,11 +239,11 @@ def test_converted_dataset_bytes_are_pinned(tmp_path, monkeypatch, capsys, suffi
 SMALL = workload.Shape(queries=6, docs=4, doc_tokens=(40, 80))
 
 
-class _InterruptOnCall:
-    """A backend that raises ``KeyboardInterrupt`` on its ``n``-th call."""
+class _RaiseOnCall:
+    """A backend that raises ``error`` on its ``n``-th call and counts its calls."""
 
-    def __init__(self, backend, n: int) -> None:
-        self.backend, self.n = backend, n
+    def __init__(self, backend, n: int, error=KeyboardInterrupt) -> None:
+        self.backend, self.n, self.error = backend, n, error
         self.calls = 0
         self.lock = threading.Lock()
 
@@ -252,7 +252,7 @@ class _InterruptOnCall:
             self.calls += 1
             hit = self.calls == self.n
         if hit:
-            raise KeyboardInterrupt
+            raise self.error
         return self.backend.generate(prompt, sampling)
 
 
@@ -264,7 +264,7 @@ def test_interrupted_rollout_keeps_its_finished_groups(tmp_path, monkeypatch, ca
     assert _rollout("whole", parallel) == 0
     make_backend = cli.make_backend
     monkeypatch.setattr(
-        cli, "make_backend", lambda *a, **kw: _InterruptOnCall(make_backend(*a, **kw), n)
+        cli, "make_backend", lambda *a, **kw: _RaiseOnCall(make_backend(*a, **kw), n)
     )
     with pytest.raises(KeyboardInterrupt):
         _rollout("cut", parallel)
@@ -330,3 +330,23 @@ def test_interrupt_cancels_the_samples_not_started(tmp_path, monkeypatch, parall
     with pytest.raises(KeyboardInterrupt):
         _rollout("cut", str(parallel))
     assert backends[0].calls - calls_at_interrupt[0] <= parallel * workload.K * 2
+
+
+def test_an_error_on_a_pool_thread_stops_the_queued_samples(tmp_path, monkeypatch):
+    """A sample that raises something other than a BackendError on a pool
+    thread stops the samples queued behind it before their backend call,
+    not only once its group is the oldest in the window: only the samples
+    already running may still call the backend, each at most twice."""
+    monkeypatch.chdir(tmp_path)
+    workload.generate("w", SEED, workload.Shape(queries=12, docs=4, doc_tokens=(40, 80)))
+    backends = []
+    make_backend = cli.make_backend
+
+    def failing_backend(*args, **kwargs):
+        backends.append(_RaiseOnCall(make_backend(*args, **kwargs), 20, RuntimeError("a bug")))
+        return backends[0]
+
+    monkeypatch.setattr(cli, "make_backend", failing_backend)
+    with pytest.raises(RuntimeError, match="a bug"):
+        _rollout("cut", "2")
+    assert backends[0].calls - 20 <= 2 * workload.K * 2
