@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Protocol
 from urllib.parse import urlsplit
 
-from .dataset import is_finite_number, read_json
+from .dataset import check, is_finite_number, read_json
 from .errors import BackendError
 from .grpo import TokenLogProbs
 
@@ -78,9 +78,10 @@ class MockBackend:
     Resolution order for a call with digest d = prompt_digest(prompt, seed):
       1. ``<fixtures>/<d>.txt`` verbatim; one that is not UTF-8 text is a
          BackendError, not retryable;
-      2. first entry of ``<fixtures>/rules.json`` (a JSON array of
-         ``{"contains": ..., "response": ...}``) whose substring appears in
-         the prompt;
+      2. first entry of ``<fixtures>/rules.json`` (a JSON array of objects
+         whose ``contains`` and ``response`` are strings; other keys are
+         ignored, and a file of another shape fails here) whose substring
+         appears in the prompt;
       3. BackendError, not retryable.
     Log-probs are synthesized deterministically from the digest.
     """
@@ -89,9 +90,15 @@ class MockBackend:
         self.fixtures_dir = Path(fixtures_dir)
         if not self.fixtures_dir.is_dir():
             raise BackendError(f"{fixtures_dir}: fixtures path is not a directory", retryable=False)
-        # read once here, before any thread can call generate
+        # read and checked once here, before any thread can call generate
         rules_path = self.fixtures_dir / "rules.json"
         self._rules: list[dict] = read_json(rules_path) if rules_path.exists() else []
+        check(isinstance(self._rules, list), "rules must be a JSON array", rules_path, None)
+        for i, rule in enumerate(self._rules):
+            check(isinstance(rule, dict) and isinstance(rule.get("contains"), str)
+                  and isinstance(rule.get("response"), str),
+                  f"rule {i} must be an object whose 'contains' and 'response' are strings",
+                  rules_path, None)
 
     def generate(self, prompt: str, sampling: SamplingParams) -> Generation:
         digest = prompt_digest(prompt, sampling.seed)

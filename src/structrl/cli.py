@@ -1,9 +1,11 @@
 """Operator entry point: rollouts, scoring export, evaluation, density
 checks, trajectory validation, dataset plumbing, and a lambda sweep.
 
-Config precedence is flags > environment > config file > defaults, and every
-run that writes outputs also writes its resolved config beside them so reruns
-are reproducible. Timestamps go to a sidecar log only, never into outputs.
+Config precedence is flags > config file > defaults; ``endpoint``, the one
+setting with an environment variable (``STRUCTRL_ENDPOINT``), reads it
+between its flag and the config file. Every run that writes outputs also
+writes its resolved config beside them so reruns are reproducible.
+Timestamps go to a sidecar log only, never into outputs.
 Artifacts are streamed: ``rollout`` writes each group's record and signal
 lines as the group finishes, in dataset order, and the resolved config only
 after the last one, so an interrupted run keeps its finished groups and has
@@ -29,7 +31,7 @@ from ._textnorm import norm_tokens
 from .backends import BACKEND_KINDS, ENDPOINT_ENV, make_backend
 from .errors import StructRLError, check_least
 from .grpo import ObjectiveConfig, mean, objective, write_training_signals
-from .reward import LAMBDA_LEAST, LambdaSchedule, check_schedule
+from .reward import LAMBDA_LEAST, LambdaSchedule, check_schedule, evaluate
 from .rollout import RolloutConfig, read_rollout_jsonl, rescore_records, run_rollouts, write_rollout_jsonl
 from .trajectory import DocIndex, Rule, parse_trajectory, validate
 
@@ -276,23 +278,44 @@ def cmd_sweep_lambda(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    from . import evaluation as ev  # only eval renders percentages, with decimal
+def format_percent(value: float) -> str:
+    """Two-decimal percentage with round-half-even, e.g. 0.7424 -> '74.24'."""
+    from decimal import ROUND_HALF_EVEN, Decimal  # only eval renders percentages
 
+    return str((Decimal(value) * 100).quantize(Decimal("0.01"), rounding=ROUND_HALF_EVEN))
+
+
+def eval_report(name: str, summary: dict, format: str) -> str:
+    """The EM/F1 table of one dataset's ``evaluate`` record; columns are n,
+    EM, F1 and error, the last three as percentages."""
+    n = summary["n"]
+    em, f1, error = (format_percent(summary[key]) for key in ("em", "f1", "error"))
+    if format == "json":
+        payload = {name: {"n": n, "em": em, "f1": f1, "error": error}}
+        return json.dumps(payload, ensure_ascii=False, indent=2)
+    if format == "csv":
+        return f"dataset,n,em,f1,error\n{name},{n},{em},{f1},{error}\n"
+    width = max(len("dataset"), len(name))
+    header = f"{'dataset'.ljust(width)}      n     EM     F1  error"
+    return f"{header}\n{name.ljust(width)}  {n:5d}  {em:>5}  {f1:>5}  {error:>5}\n"
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
     instances = {q.id: q for q in ds.load_jsonl(args.dataset)}
-    pairs: list[tuple[str, list[str]]] = []
+    # id -> (prediction, golds), in file order
+    pairs: dict[str, tuple[str, list[str]]] = {}
     for lineno, record in ds.read_records(args.predictions):
         qid = str(ds.field(record, "id", args.predictions, lineno))
         ds.check(qid in instances, f"unknown prediction id {qid!r}", args.predictions, lineno)
         prediction = ds.field(record, "prediction", args.predictions, lineno)
         ds.check(isinstance(prediction, str), "field 'prediction' must be a string",
                  args.predictions, lineno)
-        pairs.append((prediction, list(instances[qid].golds)))
+        ds.check(qid not in pairs, f"duplicate prediction id {qid!r}", args.predictions, lineno)
+        pairs[qid] = (prediction, list(instances[qid].golds))
     ds.check(bool(pairs), "evaluation needs at least one (prediction, golds) pair",
              args.predictions, None)
-    summary = ev.evaluate(pairs)
-    name = Path(args.dataset).stem
-    print(ev.report({name: summary}, args.format or "text"), end="")
+    summary = evaluate(list(pairs.values()))
+    print(eval_report(Path(args.dataset).stem, summary, args.format), end="")
     return 0
 
 

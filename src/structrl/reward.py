@@ -1,4 +1,4 @@
-"""Answer metrics and the two-term reward.
+"""Answer metrics, their means over a prediction set, and the two-term reward.
 
 The reward is R = direct + lambda * reinf: exact match of the primary answer,
 plus a weighted exact match of the answer produced from the structured content
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from ._textnorm import normalize_text, norm_tokens
 from .errors import check_least
+from .grpo import mean
 from .trajectory import Trajectory
 
 
@@ -41,6 +42,16 @@ def f1(pred: str, golds: list[str]) -> float:
     _require_golds(golds)
     pred_tokens = norm_tokens(pred)
     return max(_f1_single(pred_tokens, norm_tokens(g)) for g in golds)
+
+
+def evaluate(pairs: list[tuple[str, list[str]]]) -> dict:
+    """``{n, em, f1, error}``: mean per-instance EM and max-F1 over
+    (prediction, golds) pairs; error is 1 - EM exactly."""
+    if not pairs:
+        raise ValueError("evaluation needs at least one (prediction, golds) pair")
+    em = mean([exact_match(pred, golds) for pred, golds in pairs])
+    f1_mean = mean([f1(pred, golds) for pred, golds in pairs])
+    return {"n": len(pairs), "em": em, "f1": f1_mean, "error": 1.0 - em}
 
 
 def direct_reward(traj: Trajectory, golds: list[str]) -> float:

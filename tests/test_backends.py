@@ -43,6 +43,11 @@ class TestMockBackend:
         assert backend.generate("alpha beta", SamplingParams()).text == "first"
         assert backend.generate("only beta", SamplingParams()).text == "second"
 
+    def test_rule_keys_beside_contains_and_response_are_ignored(self, tmp_path):
+        rules = [{"contains": "alpha", "response": "first", "note": 1}]
+        (tmp_path / "rules.json").write_text(json.dumps(rules), "utf-8")
+        assert MockBackend(tmp_path).generate("alpha", SamplingParams()).text == "first"
+
     def test_missing_fixture_and_rules(self, tmp_path):
         with pytest.raises(BackendError) as info:
             MockBackend(tmp_path).generate("anything", SamplingParams())

@@ -893,6 +893,23 @@ class TestEvalCommand:
             f"error: {predictions} line 2: unknown prediction id 'zz'\n"
         )
 
+    def test_repeated_prediction_id_names_file_and_line(self, tmp_path, capsys):
+        # counted once per line, q1 would score n 3 and EM 66.67 in place of n 2 and EM 50.00
+        dataset = self.dataset(tmp_path)
+        predictions = tmp_path / "preds.jsonl"
+        predictions.write_text(
+            "".join(json.dumps({"id": qid, "prediction": prediction}) + "\n"
+                    for qid, prediction in [("q1", "paris"), ("q1", "paris"), ("q2", "Milan")]),
+            "utf-8",
+        )
+        code = main(
+            ["eval", "--predictions", str(predictions), "--dataset", str(dataset)]
+        )
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: {predictions} line 2: duplicate prediction id 'q1'\n"
+        )
+
     def test_prediction_that_is_not_a_string_names_file_and_line(self, tmp_path, capsys):
         dataset = self.dataset(tmp_path)
         predictions = tmp_path / "preds.jsonl"
@@ -1206,6 +1223,7 @@ INPUTS = {
                      CORPUS_RECORD],
     "trajectories.jsonl": [{"raw": "<answer>x</answer>"}, "<answer>y</answer>"],
     "docs.json": ["d one", "d two"],
+    "fixtures/rules.json": [{"contains": "", "response": PLAIN_RESPONSE}],
 }
 # every command that reads a file -> its arguments, the input file that a
 # draw mutates, and the field paths it reads there, at --parallel 1 and K <= 2
@@ -1232,6 +1250,8 @@ READERS = {
                             ("candidates", 0, "body"), ("matcher",)])),
     "validate-trajectories": (VALIDATE_ARGV, "trajectories.jsonl", [(0,), (0, "raw"), (1,)]),
     "validate-docs": (VALIDATE_ARGV, "docs.json", [(), (0,), (1,)]),
+    "rollout-rules": (ROLLOUT_ARGV, "fixtures/rules.json",
+                      [(), (0,), (0, "contains"), (0, "response")]),
 }
 # what a draw does to the input: swap a JSON value in at a field path, write
 # that field's key twice, or one change to the file's bytes
@@ -1314,9 +1334,6 @@ def test_any_value_in_a_stored_rollout_scores_or_names_file_and_line(
     work = tmp_path / "w"
     shutil.rmtree(work, ignore_errors=True)
     (work / "fixtures").mkdir(parents=True)
-    (work / "fixtures" / "rules.json").write_text(
-        json.dumps([{"contains": "", "response": PLAIN_RESPONSE}]), "utf-8"
-    )
     for other, value in INPUTS.items():
         (work / other).write_text(input_text(other, value), "utf-8")
     (work / name).write_bytes(mutated_input(data, name, paths))
@@ -1414,6 +1431,33 @@ def test_whole_file_that_is_not_utf8_names_file_and_line(tmp_path, capsys, argv,
     (tmp_path / bad).write_bytes(b'[\n"\xff"\n]\n')
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
     assert capsys.readouterr() == ("", f"error: {tmp_path / bad} line 2: not UTF-8 text\n")
+    assert not (tmp_path / "out").exists()
+
+
+RULE_SHAPE = "must be an object whose 'contains' and 'response' are strings"
+
+
+@pytest.mark.parametrize(
+    "rules, message",
+    [
+        ({}, "rules must be a JSON array"),
+        ("abc", "rules must be a JSON array"),
+        ([1], f"rule 0 {RULE_SHAPE}"),
+        ([{"contains": "", "response": "x"}, {"response": "x"}], f"rule 1 {RULE_SHAPE}"),
+        ([{"contains": 1, "response": "x"}], f"rule 0 {RULE_SHAPE}"),
+        ([{"contains": "Doc", "response": 5}], f"rule 0 {RULE_SHAPE}"),
+    ],
+    ids=["object", "string", "number-rule", "no-contains", "number-contains", "number-response"],
+)
+def test_malformed_rules_file_names_it_before_out_is_made(tmp_path, capsys, rules, message):
+    (tmp_path / "fixtures").mkdir()
+    (tmp_path / "fixtures" / "rules.json").write_text(json.dumps(rules), "utf-8")
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text(json.dumps(QUERY) + "\n", "utf-8")
+    code = main(["rollout", "--dataset", str(dataset), "--fixtures", str(tmp_path / "fixtures"),
+                 "--k", "2", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: {tmp_path / 'fixtures' / 'rules.json'}: {message}\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from structrl.evaluation import MetricsSummary, evaluate, format_percent, report
+from structrl.cli import eval_report, format_percent
+from structrl.reward import evaluate
 
 
 class TestEvaluate:
     def test_identity_predictions(self):
         summary = evaluate([("a b", ["a b"]), ("c", ["c"])])
-        assert summary.em == 1.0 and summary.f1 == 1.0 and summary.error == 0.0
+        assert summary["em"] == 1.0 and summary["f1"] == 1.0 and summary["error"] == 0.0
 
     def test_hand_average(self):
         summary = evaluate(
@@ -19,12 +20,12 @@ class TestEvaluate:
                 ("José Luis Cuerda director", ["José Luis Cuerda"]),
             ]
         )
-        assert summary.em == pytest.approx(0.5)
-        assert summary.f1 == pytest.approx((1 + 6 / 7) / 2)
+        assert summary["em"] == pytest.approx(0.5)
+        assert summary["f1"] == pytest.approx((1 + 6 / 7) / 2)
 
     def test_disjoint_single_instance(self):
         summary = evaluate([("blue", ["red"])])
-        assert summary.em == 0.0 and summary.f1 == 0.0 and summary.error == 1.0
+        assert summary["em"] == 0.0 and summary["f1"] == 0.0 and summary["error"] == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="evaluation needs at least one"):
@@ -32,7 +33,7 @@ class TestEvaluate:
 
     def test_error_is_one_minus_em(self):
         summary = evaluate([("a", ["a"]), ("b", ["x"]), ("c", ["x"])])
-        assert summary.error == 1.0 - summary.em
+        assert summary["error"] == 1.0 - summary["em"]
 
     @given(
         st.lists(
@@ -47,12 +48,12 @@ class TestEvaluate:
         rng.shuffle(shuffled)
         a = evaluate(pairs)
         b = evaluate(shuffled)
-        assert a.em == pytest.approx(b.em)
-        assert a.f1 == pytest.approx(b.f1)
+        assert a["em"] == pytest.approx(b["em"])
+        assert a["f1"] == pytest.approx(b["f1"])
 
     def test_em_never_exceeds_f1(self):
         summary = evaluate([("a b", ["a b c"]), ("x", ["x"]), ("q", ["z"])])
-        assert summary.em <= summary.f1
+        assert summary["em"] <= summary["f1"]
 
 
 class TestPercentRendering:
@@ -68,27 +69,19 @@ class TestPercentRendering:
 
 
 class TestReport:
-    SUMMARIES = {"bench": MetricsSummary(n=4, em=0.7424, f1=0.7995, error=0.2576)}
+    SUMMARY = {"n": 4, "em": 0.7424, "f1": 0.7995, "error": 0.2576}
 
     def test_text_format(self):
-        text = report(self.SUMMARIES, "text")
+        text = eval_report("bench", self.SUMMARY, "text")
         assert "74.24" in text and "79.95" in text
         assert text.splitlines()[0].split()[:3] == ["dataset", "n", "EM"]
 
     def test_json_format(self):
-        payload = json.loads(report(self.SUMMARIES, "json"))
+        payload = json.loads(eval_report("bench", self.SUMMARY, "json"))
         assert payload["bench"]["em"] == "74.24"
         assert payload["bench"]["f1"] == "79.95"
 
     def test_csv_format(self):
-        lines = report(self.SUMMARIES, "csv").splitlines()
+        lines = eval_report("bench", self.SUMMARY, "csv").splitlines()
         assert lines[0] == "dataset,n,em,f1,error"
         assert lines[1].startswith("bench,4,74.24,79.95")
-
-    def test_empty_map_is_header_only(self):
-        assert report({}, "csv").splitlines() == ["dataset,n,em,f1,error"]
-        assert len(report({}, "text").splitlines()) == 1
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
-            report({}, "yaml")

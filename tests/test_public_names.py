@@ -1,7 +1,8 @@
-"""Every public top-level name of the package is used by the program.
+"""Every public top-level name of the package is used by the program, and
+every module but the CLI is imported by another module of the package.
 
-A name that only tests call is API surface nothing needs; this check finds
-one as soon as it is added or its last caller goes.
+A name or a module that only tests use is API surface nothing needs; these
+checks find one as soon as it is added or its last caller goes.
 """
 import ast
 import re
@@ -36,3 +37,20 @@ def test_every_public_name_is_referenced_beyond_its_definition():
         if len(re.findall(rf"\b{name}\b", text)) <= definitions.count(name)
     )
     assert unused == []
+
+
+def imported_modules(path):
+    """The package modules that a module imports relatively, as the package
+    writes its imports, at the top level or in a function."""
+    for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            # "from .name import x" or "from . import name"
+            yield from [node.module] if node.module else (alias.name for alias in node.names)
+
+
+def test_every_module_but_the_cli_is_imported_by_another():
+    modules = {path.stem: path for path in sorted(PACKAGE.glob("*.py"))}
+    imported = {
+        name for stem, path in modules.items() for name in imported_modules(path) if name != stem
+    }
+    assert sorted(set(modules) - imported - {"__init__", "cli"}) == []

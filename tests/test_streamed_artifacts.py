@@ -1,7 +1,8 @@
 """Byte pins of every artifact that ``rollout`` and ``density`` stream to
 disk, on the benchmark's workload shapes, and what an interrupted rollout
 leaves behind; also of what ``density --corpus`` and ``convert-dataset``
-write from small files, which pins how their readers check each record.
+write and ``eval`` prints from small files, which pins how their readers
+check each record.
 
 The workloads come from ``benches/workload.py``, imported read-only. The
 mock-k8 pins were computed before the writers streamed, when each artifact
@@ -47,11 +48,18 @@ PINS = {
         "summary": "cb63fb557582614e301c429b4b5f0ad32ae6c2c5760c32d3eda045ce0fb2356a",
     },
 }
-# the same for a rollout on the offline benchmark's shape, every fixture
+# the same for a rollout on the offline benchmark's shape
 OFFLINE_PINS = {
-    "rollouts.jsonl": "a6233d457133f9c61a7bef53303160c0726e3987fa0fd575ab87457c8038f0a6",
-    "training_signals.jsonl": "51ae55364a8eb23022c3f0bc5764cf3b8de9a4f3759df6dd7c073aa11bb1d2ce",
-    "summary": "0b89415ca0848c42be2afb1ccb064d1abe8de5e9fe3e1111525b62c7a7677b5e",
+    "every-fixture": {
+        "rollouts.jsonl": "a6233d457133f9c61a7bef53303160c0726e3987fa0fd575ab87457c8038f0a6",
+        "training_signals.jsonl": "51ae55364a8eb23022c3f0bc5764cf3b8de9a4f3759df6dd7c073aa11bb1d2ce",
+        "summary": "0b89415ca0848c42be2afb1ccb064d1abe8de5e9fe3e1111525b62c7a7677b5e",
+    },
+    "every-third-deleted": {
+        "rollouts.jsonl": "990a416df7ff81ef248b99768e565819d3a8fac27fbe8480d491e0ae46278e62",
+        "training_signals.jsonl": "795fb3dcf860788e10c60b384dbb66aa9069e9cfc1bb9ee97a03d82867eb0ed9",
+        "summary": "52625a841dcba45a730ed2a102c355120debeb6addc272cd2cbf4eb4429c3ffc",
+    },
 }
 OFFLINE = workload.Shape(queries=48, docs=10, doc_tokens=(80, 200))
 # resolved_config.json records --parallel, and nothing that the fixtures or
@@ -68,6 +76,33 @@ SWEEP_PINS = {
     "json": "f4a6843b86e0a40b191e5f99e7529fc6e3af0b408dbf864dd9b20cf4a107baf1",
     "csv": "3a31a486080fae5eaaa8b4a62cdf499ab2b4d4f1bce9882e72ea560ac724a276",
 }
+# eval in each --format on EVAL_DATASET saved under two stems: one not ASCII
+# and longer than the "dataset" header, which widens the text table's first
+# column, and one shorter
+EVAL_PINS = {
+    "évaluation_multi_sauts": {
+        "text": "ec8afc5b7fe3f79651b88f474847fa3b26e3ea1d75bb30c38ec23c1dac0289eb",
+        "json": "e4b952f4d5c552acb1dc13237ad3d3bbb6bb9cfee5cea7465f5b54454e61a34a",
+        "csv": "189e9cfad38eb85af274ac9ef98b3a33ed5eb84c3c8ce8a8a87c0a57e0296841",
+    },
+    "qa": {
+        "text": "42588dfdfb22f0e4d58b5eea7bc817f8e56354ed502d85410c6a1deddf714397",
+        "json": "0bde416edfdcd2f4ac5598cdc66ee5d682c66d680fdd8a082bd107034d5d6f7b",
+        "csv": "187ffd150895467c3ab64646bfb03d33b716dcb4c7e57ed457a29e600422677b",
+    },
+}
+# one exact match, one partial and one miss: EM 33.33, F1 61.90
+EVAL_DATASET = [
+    {"id": "q1", "question": "Capital of France?", "docs": ["d"], "golden_answers": ["Paris"]},
+    {"id": "q2", "question": "Who directed it?", "docs": ["d"],
+     "golden_answers": ["José Luis Cuerda", "Cuerda"]},
+    {"id": "q3", "question": "Año?", "docs": ["d"], "golden_answers": ["1947"]},
+]
+EVAL_PREDICTIONS = [
+    {"id": "q1", "prediction": "paris"},
+    {"id": "q2", "prediction": "José Luis Cuerda director"},
+    {"id": "q3", "prediction": "1948"},
+]
 # score-export --epsilon 0.001 --beta 0.5 on that rollout, which clips 115 of
 # its 384 samples
 CLIPPED_PIN = "9c65018104b79af44e4b4dad04916b33bac816ad5c3dac35dc67ade155a5b42c"
@@ -176,12 +211,20 @@ def test_rollout_in_a_fresh_interpreter_is_pinned(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("parallel", ["1", "2"])
-def test_offline_shape_rollout_bytes_are_pinned(tmp_path, monkeypatch, capsys, parallel):
+@pytest.mark.parametrize("fixtures", sorted(OFFLINE_PINS))
+def test_offline_shape_rollout_bytes_are_pinned(tmp_path, monkeypatch, capsys, fixtures, parallel):
     monkeypatch.chdir(tmp_path)
     workload.generate("w", SEED, OFFLINE)
+    if fixtures == "every-third-deleted":
+        for path in sorted(Path("w/fixtures").glob("*.txt"))[::3]:
+            path.unlink()
     assert _rollout("out", parallel) == 0
     out = Path("out")
-    assert _digests(out, capsys.readouterr().out.encode("utf-8")) == OFFLINE_PINS, _versions()
+    records = [json.loads(line) for line in (out / "rollouts.jsonl").read_text("utf-8").splitlines()]
+    failed = sum(p["failed"] for r in records for p in r["pairs"])
+    assert (failed > 0) == (fixtures == "every-third-deleted")
+    summary = capsys.readouterr().out.encode("utf-8")
+    assert _digests(out, summary) == OFFLINE_PINS[fixtures], _versions()
     assert _sha((out / "resolved_config.json").read_bytes()) == CONFIG_PINS[parallel], _versions()
 
 
@@ -189,7 +232,8 @@ def test_offline_shape_sweep_and_clipped_signal_bytes_are_pinned(tmp_path, monke
     monkeypatch.chdir(tmp_path)
     workload.generate("w", SEED, OFFLINE)
     assert _rollout("out", "1") == 0
-    assert _digests(Path("out"), capsys.readouterr().out.encode("utf-8")) == OFFLINE_PINS, _versions()
+    summary = capsys.readouterr().out.encode("utf-8")
+    assert _digests(Path("out"), summary) == OFFLINE_PINS["every-fixture"], _versions()
     for fmt, pin in SWEEP_PINS.items():
         code = main(["sweep-lambda", "--rollouts", "out/rollouts.jsonl", "--format", fmt,
                      "--out", f"sweep.{fmt}"])
@@ -203,6 +247,20 @@ def test_offline_shape_sweep_and_clipped_signal_bytes_are_pinned(tmp_path, monke
     signals = [json.loads(line) for line in Path("clipped.jsonl").read_text("utf-8").splitlines()]
     assert sum(s["clipped_term"] != s["ratio"] * s["advantage"] for s in signals) == 115
     assert _sha(Path("clipped.jsonl").read_bytes()) == CLIPPED_PIN, _versions()
+
+
+@pytest.mark.parametrize("stem", sorted(EVAL_PINS))
+def test_eval_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, stem):
+    monkeypatch.chdir(tmp_path)
+    for name, records in ((f"{stem}.jsonl", EVAL_DATASET), ("predictions.jsonl", EVAL_PREDICTIONS)):
+        Path(name).write_text("".join(json.dumps(record) + "\n" for record in records), "utf-8")
+    printed = {}
+    for fmt in EVAL_PINS[stem]:
+        code = main(["eval", "--predictions", "predictions.jsonl", "--dataset", f"{stem}.jsonl",
+                     "--format", fmt])
+        assert code == 0
+        printed[fmt] = _sha(capsys.readouterr().out.encode("utf-8"))
+    assert printed == EVAL_PINS[stem]
 
 
 def test_synthetic_density_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
