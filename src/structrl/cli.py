@@ -256,7 +256,7 @@ def cmd_sweep_lambda(args: argparse.Namespace) -> int:
             row[f"mean_{name}"] = mean([b[name] for b in breakdowns]) if breakdowns else 0.0
         rows.append(row)
     if args.format == "json":
-        text = json.dumps(rows, indent=2)
+        text = json.dumps(rows, indent=2) + "\n"
     elif args.format == "csv":
         lines = ["lambda,mean_total,mean_direct,mean_reinf"]
         lines += [
@@ -292,7 +292,7 @@ def eval_report(name: str, summary: dict, format: str) -> str:
     em, f1, error = (format_percent(summary[key]) for key in ("em", "f1", "error"))
     if format == "json":
         payload = {name: {"n": n, "em": em, "f1": f1, "error": error}}
-        return json.dumps(payload, ensure_ascii=False, indent=2)
+        return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
     if format == "csv":
         return f"dataset,n,em,f1,error\n{name},{n},{em},{f1},{error}\n"
     width = max(len("dataset"), len(name))

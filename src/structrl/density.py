@@ -4,7 +4,9 @@ ordering "raw docs < best predefined <= best overall".
 Information content is operationalized as gold-fact coverage: a fact counts
 when its normalized form appears contiguously in the text (containment) or
 when its token set is covered (token subset). Length is the whitespace token
-count of the normalized text. Ordering checks report rather than assert, and
+count of the normalized text. Each fact is normalized once per instance:
+``verify_ordering`` keys the facts once and matches the raw text and every
+candidate against those keys. Ordering checks report rather than assert, and
 instances that break the preservation premise are downgraded to
 "premise unmet" instead of counting as failures.
 
@@ -28,25 +30,35 @@ MATCHERS = ("normalized_containment", "token_subset")
 _PREDEFINED_LABELS = {name.lower() for name in PREDEFINED_FORMATS}
 
 
-def _matched(norm: str, facts: list[str], matcher: str) -> list[str]:
-    """Facts covered by ``norm``, a text already put through ``normalize_text``."""
+def _fact_keys(facts: list[str], matcher: str) -> list[tuple]:
+    """``(fact, key)`` for each fact that normalizes to something: its padded
+    normal form for containment, its token set for token subset."""
+    if matcher == MATCHERS[0]:
+        return [(f, f" {fn} ") for f in facts if (fn := normalize_text(f))]
+    return [(f, set(ft)) for f in facts if (ft := norm_tokens(f))]
+
+
+def _density(text: str, keys: list[tuple], matcher: str) -> dict:
+    """``density`` of ``text`` against facts already keyed by ``_fact_keys``."""
+    norm = normalize_text(text)
+    words = norm.split()
+    length = len(words)
+    if length == 0:
+        raise ValueError("density needs at least one token")
     if matcher == MATCHERS[0]:
         padded = f" {norm} "
-        return [f for f in facts if (fn := normalize_text(f)) and f" {fn} " in padded]
-    tokens = set(norm.split())
-    return [f for f in facts if (ft := set(norm_tokens(f))) and ft <= tokens]
+        matched = [f for f, key in keys if key in padded]
+    else:
+        tokens = set(words)
+        matched = [f for f, key in keys if key <= tokens]
+    return {"info": len(matched), "length": length, "rho": len(matched) / length,
+            "matched_facts": matched}
 
 
 def density(text: str, facts: list[str], matcher: str = MATCHERS[0]) -> dict:
     """``{info, length, rho, matched_facts}``: facts covered per normalized
-    token; the text is normalized once."""
-    norm = normalize_text(text)
-    length = len(norm.split())
-    if length == 0:
-        raise ValueError("density needs at least one token")
-    matched = _matched(norm, facts, matcher)
-    return {"info": len(matched), "length": length, "rho": len(matched) / length,
-            "matched_facts": matched}
+    token; the text and each fact are normalized once."""
+    return _density(text, _fact_keys(facts, matcher), matcher)
 
 
 def verify_ordering(instance: dict) -> dict:
@@ -59,10 +71,11 @@ def verify_ordering(instance: dict) -> dict:
     verdict to "premise_unmet"; nothing is ever raised for a failed inequality.
     """
     facts, matcher = instance["facts"], instance["matcher"]
-    raw = density(instance["raw_docs"], facts, matcher)
+    keys = _fact_keys(facts, matcher)
+    raw = _density(instance["raw_docs"], keys, matcher)
     candidates = [
         {"label": c["label"], "predefined": c["label"].strip().lower() in _PREDEFINED_LABELS,
-         **density(c["body"], facts, matcher)}
+         **_density(c["body"], keys, matcher)}
         for c in instance["candidates"]
     ]
     best = max((c for c in candidates if c["predefined"]), key=lambda c: c["rho"], default=None)

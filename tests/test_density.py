@@ -16,6 +16,22 @@ from structrl.density import (
 FACTS = ["monty banks 15 july 1897", "josé luis cuerda 18 february 1947"]
 
 
+@pytest.fixture
+def normalized(monkeypatch):
+    """Every string passed to ``normalize_text``, in call order."""
+    seen = []
+
+    def counting(s):
+        seen.append(s)
+        return normalize_text(s)
+
+    # norm_tokens calls normalize_text too; sys.modules, because the
+    # package exports the function ``density`` under the module's name
+    for module in ("structrl._textnorm", "structrl.density"):
+        monkeypatch.setattr(sys.modules[module], "normalize_text", counting)
+    return seen
+
+
 def instance(raw, candidates, facts, matcher=MATCHERS[0]):
     """A corpus record; ``candidates`` are (label, body) pairs."""
     return {
@@ -86,21 +102,22 @@ class TestDensity:
         assert m["matched_facts"] == ["alpha one"]
 
     @pytest.mark.parametrize("matcher", MATCHERS)
-    def test_text_is_normalized_once(self, matcher, monkeypatch):
-        seen = []
-
-        def counting(s):
-            seen.append(s)
-            return normalize_text(s)
-
-        # norm_tokens calls normalize_text too; sys.modules, because the
-        # package exports the function ``density`` under the module's name
-        for module in ("structrl._textnorm", "structrl.density"):
-            monkeypatch.setattr(sys.modules[module], "normalize_text", counting)
+    def test_text_is_normalized_once(self, matcher, normalized):
         text = "Alpha one, beta two and the gamma three."
         m = density(text, ["alpha one", "beta two", "delta four"], matcher)
         assert m["matched_facts"] == ["alpha one", "beta two"]
-        assert seen.count(text) == 1
+        assert normalized.count(text) == 1
+
+    @pytest.mark.parametrize("matcher", MATCHERS)
+    def test_facts_are_normalized_once_per_instance(self, matcher, normalized):
+        # "The" normalises to nothing, so no text covers it
+        facts = ["alpha one", "The", "beta two"]
+        texts = ["the alpha one, then the beta two", "alpha one | beta two", "beta two"]
+        rep = verify_ordering(instance(texts[0], [("Table", texts[1]), ("x", texts[2])],
+                                       facts, matcher))
+        assert sorted(normalized) == sorted(facts + texts)
+        assert [c["matched_facts"] for c in [rep["raw"], *rep["candidates"]]] == [
+            ["alpha one", "beta two"], ["alpha one", "beta two"], ["beta two"]]
 
 
 class TestVerifyOrdering:

@@ -1,7 +1,9 @@
+import itertools
+import re
 import string
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structrl._textnorm import normalize_text
@@ -20,6 +22,30 @@ answer_texts = st.text(
     alphabet=string.ascii_letters + string.punctuation + " ", max_size=30
 )
 
+# every case of every article; joined pieces put each one at every boundary
+ARTICLES = ["".join(cased) for word in ("a", "an", "the")
+            for cased in itertools.product(*((c, c.upper()) for c in word))]
+normalizer_texts = st.lists(
+    st.one_of(
+        st.sampled_from(ARTICLES),
+        st.sampled_from(string.punctuation + string.whitespace + string.digits
+                        + "_\x01\x1cxnéİ—’\U0001F600"),
+        # every category, astral characters included; lone surrogates are
+        # drawn on their own too, as a draw of every category seldom has one
+        st.characters(blacklist_categories=()),
+        st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, blacklist_categories=()),
+    ),
+    max_size=24,
+).map("".join)
+
+
+def reference_normalize(s):
+    """normalize_text's definition, step by step: lowercase, strip ASCII
+    punctuation, drop standalone articles, squeeze whitespace."""
+    s = s.lower().translate(str.maketrans("", "", string.punctuation))
+    s = re.sub(r"\b(a|an|the)\b", " ", s)
+    return " ".join(s.split())
+
 
 class TestNormalize:
     def test_articles_punctuation_case(self):
@@ -36,6 +62,11 @@ class TestNormalize:
 
     def test_whitespace_squeezed(self):
         assert normalize_text("  a   b\t c \n") == "b c"
+
+    @given(normalizer_texts)
+    @settings(max_examples=600)
+    def test_matches_reference_definition(self, text):
+        assert normalize_text(text) == reference_normalize(text)
 
 
 class TestExactMatch:

@@ -73,7 +73,7 @@ CONFIG_PINS = {
 # --parallel 1; the same bytes are printed and written to --out
 SWEEP_PINS = {
     "text": "9150e9375fd54c33fde7a7c4dfa9d1b6ae27c9225d3e93c362d2a1ae0b304f73",
-    "json": "f4a6843b86e0a40b191e5f99e7529fc6e3af0b408dbf864dd9b20cf4a107baf1",
+    "json": "b72f35becbfbf4d07c8c0cc283947d9d53f75c1f106d729f0903b61aa0738339",
     "csv": "3a31a486080fae5eaaa8b4a62cdf499ab2b4d4f1bce9882e72ea560ac724a276",
 }
 # eval in each --format on EVAL_DATASET saved under two stems: one not ASCII
@@ -82,12 +82,12 @@ SWEEP_PINS = {
 EVAL_PINS = {
     "évaluation_multi_sauts": {
         "text": "ec8afc5b7fe3f79651b88f474847fa3b26e3ea1d75bb30c38ec23c1dac0289eb",
-        "json": "e4b952f4d5c552acb1dc13237ad3d3bbb6bb9cfee5cea7465f5b54454e61a34a",
+        "json": "64a33313392a75a6d4a7153792ce54a218b69f62197e354cfda87c520612345a",
         "csv": "189e9cfad38eb85af274ac9ef98b3a33ed5eb84c3c8ce8a8a87c0a57e0296841",
     },
     "qa": {
         "text": "42588dfdfb22f0e4d58b5eea7bc817f8e56354ed502d85410c6a1deddf714397",
-        "json": "0bde416edfdcd2f4ac5598cdc66ee5d682c66d680fdd8a082bd107034d5d6f7b",
+        "json": "59f5a52cdc709f679580b410605ee6b0045d58e58eb43694a99b4b16be30b538",
         "csv": "187ffd150895467c3ab64646bfb03d33b716dcb4c7e57ed457a29e600422677b",
     },
 }
@@ -238,7 +238,9 @@ def test_offline_shape_sweep_and_clipped_signal_bytes_are_pinned(tmp_path, monke
         code = main(["sweep-lambda", "--rollouts", "out/rollouts.jsonl", "--format", fmt,
                      "--out", f"sweep.{fmt}"])
         assert code == 0
-        printed = _sha(capsys.readouterr().out.encode("utf-8"))
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and not out.endswith("\n\n")
+        printed = _sha(out.encode("utf-8"))
         assert (printed, _sha(Path(f"sweep.{fmt}").read_bytes())) == (pin, pin), _versions()
     code = main(["score-export", "--rollouts", "out/rollouts.jsonl", "--epsilon", "0.001",
                  "--beta", "0.5", "--out", "clipped.jsonl"])
@@ -259,7 +261,9 @@ def test_eval_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, stem):
         code = main(["eval", "--predictions", "predictions.jsonl", "--dataset", f"{stem}.jsonl",
                      "--format", fmt])
         assert code == 0
-        printed[fmt] = _sha(capsys.readouterr().out.encode("utf-8"))
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and not out.endswith("\n\n")
+        printed[fmt] = _sha(out.encode("utf-8"))
     assert printed == EVAL_PINS[stem]
 
 
