@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 from typing import IO
 
@@ -29,10 +28,10 @@ from . import dataset as ds
 from .density import MATCHERS, generate_synthetic, run_corpus
 from ._textnorm import norm_tokens
 from .backends import BACKEND_KINDS, ENDPOINT_ENV, make_backend
-from .errors import StructRLError, check_least
-from .grpo import ObjectiveConfig, mean, objective, write_training_signals
-from .reward import LAMBDA_LEAST, LambdaSchedule, check_schedule, evaluate
-from .rollout import RolloutConfig, read_rollout_jsonl, rescore_records, run_rollouts, write_rollout_jsonl
+from .errors import LEAST, StructRLError, check_least, check_settings
+from .grpo import mean, objective, write_training_signals
+from .reward import evaluate, parse_schedule
+from .rollout import read_rollout_jsonl, rescore_records, run_rollouts, write_rollout_jsonl
 from .trajectory import DocIndex, Rule, parse_trajectory, validate
 
 def _lambda_arg(text: str) -> float | str:
@@ -45,24 +44,27 @@ def _lambda_arg(text: str) -> float | str:
 
 # every run setting: name -> (type, default). The rollout flags, score-export's
 # --epsilon and --beta, the config-file checks and resolved_config.json all
-# come from this table. A setting of RolloutConfig or ObjectiveConfig has the
-# same name there; its default and any least value (_LEAST) come from there.
+# come from this table; a bounded setting's least value is in errors.LEAST.
+# run_rollouts and objective read each setting by name from the record that
+# resolve_config builds.
 SETTINGS = {
     "backend": (str, "mock"),
     "endpoint": (str, None),
     "fixtures": (str, None),
     "model": (str, "default"),
-    "k": (int, RolloutConfig.k),
+    "k": (int, 8),
     "lambda": (_lambda_arg, 0.2),
-    "epsilon": (float, ObjectiveConfig.epsilon),
-    "beta": (float, ObjectiveConfig.beta),
-    "seed": (int, RolloutConfig.seed),
-    "parallel": (int, RolloutConfig.parallel),
-    "temperature": (float, RolloutConfig.temperature),
-    "max_tokens": (int, RolloutConfig.max_tokens),
-    "retries": (int, RolloutConfig.retries),
+    "epsilon": (float, 0.2),
+    "beta": (float, 0.001),
+    "seed": (int, 0),
+    "parallel": (int, 1),
+    "temperature": (float, 1.0),
+    "max_tokens": (int, 1024),
+    "retries": (int, 2),
 }
-_LEAST = {**RolloutConfig.LEAST, **ObjectiveConfig.LEAST}
+# the record resolve_config starts from; a library caller of run_rollouts or
+# objective passes {**DEFAULTS, name: value, ...}
+DEFAULTS = {name: default for name, (_, default) in SETTINGS.items()}
 _SETTING_FLAGS = {f"--{name.replace('_', '-')}" for name in SETTINGS}
 # the JSON values a config file may give a setting of each type, never a bool;
 # a setting whose default is None may also be null
@@ -77,28 +79,6 @@ _CONFIG_TYPES = {
 SIDECAR_KEYS = {"command", "config", "dataset", "out"}
 
 STRICT_RULES = {Rule.NO_ANSWER, Rule.PLACEHOLDER_FORMAT, Rule.PLACEHOLDER_ANSWER}
-
-
-def parse_schedule(value: float | str, name: str = "lambda") -> LambdaSchedule:
-    """Parse a number V, 'constant:V' or 'linear:START:END:STEPS'; every
-    error calls the value ``name``."""
-    parts = str(value).split(":")
-    if len(parts) == 1:
-        parts = ["constant", *parts]
-    args = None
-    try:
-        if parts[0] == "constant" and len(parts) == 2:
-            args = (float(parts[1]), float(parts[1]), 1)
-        elif parts[0] == "linear" and len(parts) == 4:
-            args = (float(parts[1]), float(parts[2]), int(parts[3]))
-    except ValueError:
-        pass
-    if args is None:
-        raise ValueError(
-            f"{name} must be V, constant:V or linear:START:END:STEPS, got {value!r}"
-        )
-    check_schedule(*args, name)
-    return LambdaSchedule(*args)
 
 
 def _config_value(path: str, name: str, value: object) -> object:
@@ -116,10 +96,10 @@ def _config_value(path: str, name: str, value: object) -> object:
             pass
         else:
             where = f"{path}: config key {name!r}"
-            if name in _LEAST:
-                check_least(where, value, _LEAST[name])
-            elif name == "lambda":
+            if name == "lambda":
                 parse_schedule(value, where)
+            elif name in LEAST:
+                check_least(where, value, LEAST[name])
             elif name == "backend" and value not in BACKEND_KINDS:
                 kinds = " or ".join(map(json.dumps, BACKEND_KINDS))
                 raise ValueError(f"{where} must be {kinds}, got {json.dumps(value)}")
@@ -128,8 +108,10 @@ def _config_value(path: str, name: str, value: object) -> object:
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Overlay defaults <- config file <- environment <- explicit flags."""
-    resolved = {name: default for name, (_, default) in SETTINGS.items()}
+    """Overlay defaults <- config file <- environment <- explicit flags, then
+    check the bounded settings, so a bad flag fails before anything is read
+    or built."""
+    resolved = dict(DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
         loaded = ds.read_json(config_path)
@@ -146,6 +128,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
+    check_settings(resolved)
+    parse_schedule(resolved["lambda"])
     return resolved
 
 
@@ -159,7 +143,7 @@ def _write_sidecar(out_dir: Path, command: str, resolved: dict) -> None:
         fh.write(f"{stamp} {command}\n")
 
 
-def _export_signals(out: IO[str], records: list[dict], config: ObjectiveConfig) -> float | None:
+def _export_signals(out: IO[str], records: list[dict], config: dict) -> float | None:
     """The one path from group records to training signal lines, for
     ``rollout`` (one group at a time) and ``score-export`` (every record at
     once) alike; returns the objective, or None for no records."""
@@ -172,11 +156,6 @@ def _export_signals(out: IO[str], records: list[dict], config: ObjectiveConfig) 
 
 def cmd_rollout(args: argparse.Namespace) -> int:
     resolved = resolve_config(args)
-    objective_config = ObjectiveConfig(resolved["epsilon"], resolved["beta"])
-    config = RolloutConfig(
-        lambda_schedule=parse_schedule(resolved["lambda"]),
-        **{f.name: resolved[f.name] for f in fields(RolloutConfig) if f.name in SETTINGS},
-    )
     queries = ds.load_jsonl(resolved["dataset"])
     backend = make_backend(
         resolved["backend"],
@@ -194,10 +173,10 @@ def cmd_rollout(args: argparse.Namespace) -> int:
         open(out_dir / "rollouts.jsonl", "w", encoding="utf-8") as rollouts,
         open(out_dir / "training_signals.jsonl", "w", encoding="utf-8") as signals,
     ):
-        for group in run_rollouts(queries, config, backend):
+        for group in run_rollouts(queries, resolved, backend):
             record = group.to_dict()
             write_rollout_jsonl(rollouts, [record])
-            _export_signals(signals, [record], objective_config)
+            _export_signals(signals, [record], resolved)
             groups += 1
             for p in record["pairs"]:
                 samples += 1
@@ -220,10 +199,9 @@ def cmd_rollout(args: argparse.Namespace) -> int:
 
 def cmd_score_export(args: argparse.Namespace) -> int:
     resolved = resolve_config(args)
-    objective_config = ObjectiveConfig(resolved["epsilon"], resolved["beta"])
     records = read_rollout_jsonl(args.rollouts)
     with open(args.out, "w", encoding="utf-8") as out:
-        j = _export_signals(out, records, objective_config)
+        j = _export_signals(out, records, resolved)
     if j is None:
         print("objective=n/a groups=0")
     else:
@@ -239,7 +217,7 @@ def _lambda_values(text: str) -> list[float]:
             values.append(float(item))
         except ValueError:
             raise ValueError(f"--values: bad lambda {item!r} in {text!r}") from None
-        check_least("lambda", values[-1], LAMBDA_LEAST)
+        check_least("lambda", values[-1], LEAST["lambda"])
     return values
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, ClassVar, Sequence
+from typing import IO, Sequence
 
-from .errors import check_least
+from .errors import check_settings
 
 
 @dataclass(frozen=True)
@@ -35,18 +35,6 @@ class TokenLogProbs:
             raise ValueError(
                 "policy, reference, and behavior sequences must align token-for-token"
             )
-
-
-@dataclass(frozen=True)
-class ObjectiveConfig:
-    epsilon: float = 0.2
-    beta: float = 0.001
-    # the least value of each bounded field, in the order they are checked
-    LEAST: ClassVar[dict[str, float]] = {"epsilon": 0, "beta": 0}
-
-    def __post_init__(self) -> None:
-        for name, least in self.LEAST.items():
-            check_least(name, getattr(self, name), least)
 
 
 def mean(xs: Sequence[float]) -> float:
@@ -100,16 +88,18 @@ def sequence_ratio(policy: Sequence[float], behavior: Sequence[float]) -> float:
 _NO_TOKENS = {"policy": (), "reference": (), "behavior": ()}
 
 
-def objective(
-    records: Sequence[dict], cfg: ObjectiveConfig = ObjectiveConfig()
-) -> tuple[float, list[list[dict]]]:
+def objective(records: Sequence[dict], config: dict) -> tuple[float, list[list[dict]]]:
     """Scalar objective J and each sample's ``training_signals.jsonl`` record,
     grouped as the input group records.
 
     J is the mean over all samples of clipped_term - beta * kl_term, with the
     ratio computed at sequence level from length-normalized log-ratios. The
-    reward is each pair's ``breakdown.total``.
+    reward is each pair's ``breakdown.total``. ``config`` is a settings record
+    holding ``epsilon`` and ``beta``, such as the one ``resolved_config.json``
+    holds.
     """
+    check_settings(config)
+    epsilon, beta = config["epsilon"], config["beta"]
     if not records:
         raise ValueError("objective needs at least one group")
     signals: list[list[dict]] = []
@@ -122,9 +112,9 @@ def objective(
         for i, (pair, reward, adv) in enumerate(zip(pairs, rewards, advantages)):
             lp = pair.get("logprobs") or _NO_TOKENS
             ratio = sequence_ratio(lp["policy"], lp["behavior"])
-            surrogate = clipped_term(ratio, adv, cfg.epsilon)
+            surrogate = clipped_term(ratio, adv, epsilon)
             kl = kl_term(lp["policy"], lp["reference"])
-            terms.append(surrogate - cfg.beta * kl)
+            terms.append(surrogate - beta * kl)
             group.append({"query_id": record["query"]["id"], "sample_index": i, "reward": reward,
                           "advantage": adv, "ratio": ratio, "clipped_term": surrogate, "kl_term": kl})
         signals.append(group)

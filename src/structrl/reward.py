@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ._textnorm import normalize_text, norm_tokens
-from .errors import check_least
+from .errors import LEAST, check_least
 from .grpo import mean
 from .trajectory import Trajectory
 
@@ -88,39 +88,42 @@ class RewardBreakdown:
         }
 
 
-LAMBDA_LEAST = 0
-
-
 def combined_reward(direct: float, reinf: float, lambda_: float) -> RewardBreakdown:
-    check_least("lambda", lambda_, LAMBDA_LEAST)
+    check_least("lambda", lambda_, LEAST["lambda"])
     return RewardBreakdown(direct, reinf, lambda_, direct + lambda_ * reinf)
 
 
-@dataclass(frozen=True)
-class LambdaSchedule:
-    """Mixing weight over training steps: a linear ramp from ``start`` at step
-    0 to ``end`` at step ``steps``, held after that. A constant V is (V, V, 1)."""
-
-    start: float
-    end: float
-    steps: int
-
-    def __post_init__(self) -> None:
-        check_schedule(self.start, self.end, self.steps)
-
-
-def check_schedule(start: float, end: float, steps: int, name: str = "lambda") -> None:
-    """The range rule of a schedule; every message calls the weight ``name``."""
+def parse_schedule(value: float | str, name: str = "lambda") -> tuple[float, float, int]:
+    """The mixing weight over training steps as ``(start, end, steps)``: a
+    linear ramp from ``start`` at step 0 to ``end`` at step ``steps``, held
+    after that. ``value`` is a number V, 'constant:V' (both read as (V, V, 1))
+    or 'linear:START:END:STEPS'; every error calls it ``name``."""
+    parts = str(value).split(":")
+    if len(parts) == 1:
+        parts = ["constant", *parts]
+    schedule = None
+    try:
+        if parts[0] == "constant" and len(parts) == 2:
+            schedule = (float(parts[1]), float(parts[1]), 1)
+        elif parts[0] == "linear" and len(parts) == 4:
+            schedule = (float(parts[1]), float(parts[2]), int(parts[3]))
+    except ValueError:
+        pass
+    if schedule is None:
+        raise ValueError(
+            f"{name} must be V, constant:V or linear:START:END:STEPS, got {value!r}"
+        )
+    start, end, steps = schedule
     check_least(f"{name} steps", steps, 1)
     # lowest first, so a schedule below zero reports its minimum
-    for value in sorted((start, end)):
-        check_least(name, value, LAMBDA_LEAST)
+    for weight in sorted((start, end)):
+        check_least(name, weight, LEAST["lambda"])
+    return schedule
 
 
-def lambda_at(schedule: LambdaSchedule, step: int) -> float:
+def lambda_at(schedule: tuple[float, float, int], step: int) -> float:
     """Weight at a step index; past ``steps`` the schedule holds at ``end``."""
-    if schedule.start == schedule.end:
-        return schedule.start
-    return schedule.start + (schedule.end - schedule.start) * min(
-        step, schedule.steps
-    ) / schedule.steps
+    start, end, steps = schedule
+    if start == end:
+        return start
+    return start + (end - start) * min(step, steps) / steps

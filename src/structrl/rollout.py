@@ -33,19 +33,19 @@ from collections import deque
 from dataclasses import dataclass
 from operator import sub
 from pathlib import Path
-from typing import IO, Callable, ClassVar, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from .backends import Generation, GenerationBackend, SamplingParams
 from .dataset import QueryInstance, check, is_finite_number, read_records
-from .errors import BackendError, check_least
+from .errors import BackendError, check_settings
 from .grpo import AdvantageSet, TokenLogProbs, group_advantages
 from .prompting import build_main_prompt, build_reinference_prompt
 from .reward import (
-    LambdaSchedule,
     RewardBreakdown,
     combined_reward,
     direct_reward,
     lambda_at,
+    parse_schedule,
     reinference_reward,
 )
 from .trajectory import (
@@ -61,24 +61,6 @@ def derive_seed(query_id: str, sample_index: int, base_seed: int) -> int:
     """Stable per-sample seed from (query id, sample index, base seed)."""
     h = hashlib.sha256(f"{query_id}:{sample_index}:{base_seed}".encode("utf-8"))
     return int.from_bytes(h.digest()[:8], "big")
-
-
-@dataclass(frozen=True)
-class RolloutConfig:
-    k: int = 8
-    lambda_schedule: LambdaSchedule = LambdaSchedule(0.2, 0.2, 1)
-    seed: int = 0
-    parallel: int = 1
-    temperature: float = 1.0
-    max_tokens: int = 1024
-    retries: int = 2
-    # the least value of each bounded field, in the order they are checked
-    LEAST: ClassVar[dict[str, float]] = {"k": 1, "retries": 0, "parallel": 1, "max_tokens": 1,
-                                         "temperature": 0}
-
-    def __post_init__(self) -> None:
-        for name, least in self.LEAST.items():
-            check_least(name, getattr(self, name), least)
 
 
 @dataclass(frozen=True)
@@ -173,16 +155,16 @@ def _rollout_sample(
     prompt: str,
     lambda_: float,
     backend: GenerationBackend,
-    config: RolloutConfig,
+    config: dict,
     doc_index: DocIndex,
 ) -> TrajectoryPair:
     """One sample: primary call, then its re-inference call as soon as it returns."""
-    seed = derive_seed(query.id, index, config.seed)
+    seed = derive_seed(query.id, index, config["seed"])
     sampling = SamplingParams(
-        temperature=config.temperature, max_tokens=config.max_tokens, seed=seed
+        temperature=config["temperature"], max_tokens=config["max_tokens"], seed=seed
     )
     try:
-        gen = _generate_with_retries(backend, prompt, sampling, config.retries)
+        gen = _generate_with_retries(backend, prompt, sampling, config["retries"])
     except BackendError as exc:
         return _failed_pair(seed, lambda_, f"primary generation: {exc}")
 
@@ -195,7 +177,7 @@ def _rollout_sample(
         reinf_prompt = build_reinference_prompt(query.question, extract_formats(primary))
         try:
             reinf_gen = _generate_with_retries(
-                backend, reinf_prompt, sampling, config.retries
+                backend, reinf_prompt, sampling, config["retries"]
             )
         except BackendError as exc:
             return _failed_pair(seed, lambda_, f"re-inference generation: {exc}")
@@ -217,14 +199,13 @@ def _rollout_sample(
 
 def _start(
     query: QueryInstance,
-    step: int,
+    lambda_: float,
     backend: GenerationBackend,
-    config: RolloutConfig,
+    config: dict,
     run: Callable[..., Iterator[TrajectoryPair]],
 ) -> Iterator[TrajectoryPair]:
     """The query's K samples, started by ``run``, the builtin or a pool's
     ``map``, on one prompt and ``DocIndex``; yields the pairs in order."""
-    lambda_ = lambda_at(config.lambda_schedule, step)
     doc_index = DocIndex(query.docs)
     # the K primary prompts are byte-identical
     prompt = build_main_prompt(query.question, list(query.docs))
@@ -232,47 +213,43 @@ def _start(
     def sample(i: int) -> TrajectoryPair:
         return _rollout_sample(query, i, prompt, lambda_, backend, config, doc_index)
 
-    return run(sample, range(config.k))
+    return run(sample, range(config["k"]))
 
 
 def rollout_one(
-    query: QueryInstance,
-    step: int,
-    backend: GenerationBackend,
-    config: RolloutConfig = RolloutConfig(),
-    pairs: Iterable[TrajectoryPair] | None = None,
+    query: QueryInstance, step: int, lambda_: float, pairs: Iterable[TrajectoryPair]
 ) -> RolloutGroup:
-    """One group: ``config.k`` sampled pairs for a query plus centered advantages.
-
-    ``step`` picks the weight from ``config.lambda_schedule``. ``pairs`` are
-    the query's samples as ``run_rollouts`` started them, in sample order;
-    without them the samples run here, one after another.
-    """
-    if pairs is None:
-        pairs = _start(query, step, backend, config, map)
+    """One group: the query's sampled pairs, in sample order as
+    ``run_rollouts`` started them, plus centered advantages; ``lambda_`` is
+    the schedule's weight at ``step``."""
     pairs = tuple(pairs)
     advantages = group_advantages([p.breakdown.total for p in pairs])
-    return RolloutGroup(query, pairs, advantages, lambda_at(config.lambda_schedule, step), step)
+    return RolloutGroup(query, pairs, advantages, lambda_, step)
 
 
 def run_rollouts(
     dataset: Iterable[QueryInstance],
-    config: RolloutConfig,
+    config: dict,
     backend: GenerationBackend,
 ) -> Iterator[RolloutGroup]:
     """One group per query, in dataset order regardless of completion order.
 
+    ``config`` is a settings record such as ``resolved_config.json`` holds;
+    this reads its ``k``, ``lambda``, ``seed``, ``parallel``, ``temperature``,
+    ``max_tokens`` and ``retries``, and checks them before the first query.
     The query's position is its step index for the lambda schedule. One
     loop keeps a window of started groups, 2N deep at parallelism N > 1 and
     1 deep at 1, where the samples run in the caller's thread; each group is
     assembled by ``rollout_one`` when it is the oldest one in the window.
     """
+    check_settings(config)
+    schedule = parse_schedule(config["lambda"])
     pool = None
     run, depth = map, 1
-    if config.parallel > 1:
+    if config["parallel"] > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        pool = ThreadPoolExecutor(config.parallel * config.k)
+        pool = ThreadPoolExecutor(config["parallel"] * config["k"])
         failed: list[BaseException] = []  # what the samples on the pool have raised
 
         def pool_run(
@@ -289,12 +266,12 @@ def run_rollouts(
 
             return pool.map(stoppable, indices)
 
-        run, depth = pool_run, 2 * config.parallel
+        run, depth = pool_run, 2 * config["parallel"]
     window: deque[tuple] = deque()  # rollout_one's arguments, oldest group first
     try:
         for step, query in enumerate(dataset):
-            pairs = _start(query, step, backend, config, run)
-            window.append((query, step, backend, config, pairs))
+            lambda_ = lambda_at(schedule, step)
+            window.append((query, step, lambda_, _start(query, lambda_, backend, config, run)))
             if len(window) == depth:
                 yield rollout_one(*window.popleft())
         while window:

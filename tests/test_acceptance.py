@@ -14,20 +14,18 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from structrl.cli import main
+from structrl.cli import DEFAULTS, main
 from structrl.dataset import QueryInstance, load_jsonl, sample, write_jsonl
 from structrl.density import generate_synthetic, run_corpus
 from structrl.grpo import (
-    ObjectiveConfig,
     clipped_term,
     group_advantages,
     kl_term,
     objective,
 )
 from structrl.prompting import build_reinference_prompt, reinference_template, splice
-from structrl.reward import LambdaSchedule, exact_match, f1
+from structrl.reward import exact_match, f1
 from structrl.rollout import (
-    RolloutConfig,
     read_rollout_jsonl,
     rescore_records,
     run_rollouts,
@@ -119,9 +117,7 @@ def test_criterion_3_reward_contract(tmp_path):
         from structrl.backends import MockBackend
 
         queries, fixtures = _reward_contract_fixture(tmp_path)
-        config = RolloutConfig(
-            k=1, lambda_schedule=LambdaSchedule(0.2, 0.2, 1), seed=0
-        )
+        config = {**DEFAULTS, "k": 1, "lambda": 0.2, "seed": 0}
         groups = list(run_rollouts(queries, config, MockBackend(fixtures)))
         pairs = [p for g in groups for p in g.pairs]
         assert len(pairs) == 200
@@ -213,7 +209,7 @@ def test_criterion_4_grpo_math():
                 }
                 for i, (rewards, triples) in enumerate(raw_groups)
             ]
-            got, _ = objective(records, ObjectiveConfig(epsilon=epsilon, beta=beta))
+            got, _ = objective(records, {"epsilon": epsilon, "beta": beta})
             want = _brute_force_objective(raw_groups, epsilon, beta)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 

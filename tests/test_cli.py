@@ -5,7 +5,6 @@ stdout/stderr are observable without subprocesses; only the checks of what
 importing and running the CLI loads use a fresh interpreter.
 """
 import copy
-import dataclasses
 import gzip
 import hashlib
 import json
@@ -27,11 +26,11 @@ from hypothesis import strategies as st
 
 from structrl import cli
 from structrl.backends import BACKEND_KINDS, prompt_digest
-from structrl.cli import SETTINGS, build_parser, main, parse_schedule, resolve_config
-from structrl.grpo import ObjectiveConfig
+from structrl.cli import SETTINGS, build_parser, main, resolve_config
+from structrl.errors import LEAST
 from structrl.prompting import build_main_prompt, build_reinference_prompt
-from structrl.reward import LambdaSchedule
-from structrl.rollout import RolloutConfig, derive_seed, read_rollout_jsonl
+from structrl.reward import parse_schedule
+from structrl.rollout import derive_seed, read_rollout_jsonl
 from structrl.trajectory import extract_formats, parse_trajectory
 from test_streamed_artifacts import _versions
 
@@ -148,17 +147,18 @@ def run_rollout_cli(tmp_path, dataset, fixtures, out_name, extra=()):
 
 class TestParseSchedule:
     def test_constant(self):
-        assert parse_schedule("constant:0.3") == LambdaSchedule(0.3, 0.3, 1)
+        assert parse_schedule("constant:0.3") == (0.3, 0.3, 1)
 
     def test_linear(self):
-        assert parse_schedule("linear:0:0.2:100") == LambdaSchedule(0.0, 0.2, 100)
+        assert parse_schedule("linear:0:0.2:100") == (0.0, 0.2, 100)
 
     @pytest.mark.parametrize("value", [0.3, "0.3"], ids=["number", "string"])
     def test_bare_number_is_constant(self, value):
         assert parse_schedule(value) == parse_schedule("constant:0.3")
 
     @pytest.mark.parametrize(
-        "text", ["", "constant", "constant:x", "linear:1:2", "cosine:0:1:5"]
+        "text", ["", "constant", "constant:x", "constant:0.1:0.2", "linear:0.3", "linear:1:2",
+                 "cosine:0:1:5"]
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
@@ -232,15 +232,15 @@ class TestResolveConfig:
         """Whether ``value`` has the type of setting ``name`` and, for a
         bounded setting, is finite and at least its least value; for lambda,
         whether it is a schedule; for backend, whether it is a kind of one."""
-        least = {**RolloutConfig.LEAST, **ObjectiveConfig.LEAST}
         if name == "lambda" and cls.has_type(name, value):
             try:
                 parse_schedule(value)
             except ValueError:
                 return False
+            return True
         if name == "backend":
             return value in BACKEND_KINDS
-        return cls.has_type(name, value) and (name not in least or least[name] <= value < math.inf)
+        return cls.has_type(name, value) and (name not in LEAST or LEAST[name] <= value < math.inf)
 
     @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -399,7 +399,7 @@ class TestRolloutCommand:
         recorded = json.loads((out_dir / "resolved_config.json").read_text("utf-8"))
         assert recorded["lambda"] == "linear:0:0.2:2"
         assert "config" not in recorded
-        assert parse_schedule(recorded["lambda"]) == LambdaSchedule(0.0, 0.2, 2)
+        assert parse_schedule(recorded["lambda"]) == (0.0, 0.2, 2)
 
     @pytest.mark.parametrize("key", ["lambda_schedule", "format"])
     def test_unknown_config_key_exits_nonzero(
@@ -1753,18 +1753,3 @@ def test_readme_rollout_synopsis_names_the_flags_of_the_settings():
         f"--{name.replace('_', '-')}" for name in SETTINGS
     }
 
-
-def test_library_defaults_are_the_settings_defaults():
-    """SETTINGS reads its other defaults from RolloutConfig and
-    ObjectiveConfig; lambda's is a schedule there and a number here, so a bare
-    ``structrl rollout`` must still parse it to the library's default."""
-    assert RolloutConfig().lambda_schedule == parse_schedule(SETTINGS["lambda"][1])
-
-
-def test_each_config_field_is_the_setting_of_its_name():
-    """A setting has one name from its flag to its library field; only the
-    lambda schedule, whose setting is ``lambda``, is named otherwise."""
-    for cls in (RolloutConfig, ObjectiveConfig):
-        names = [f.name for f in dataclasses.fields(cls) if f.name != "lambda_schedule"]
-        assert all(SETTINGS[name][1] == getattr(cls, name) for name in names)
-        assert set(cls.LEAST) <= set(names)

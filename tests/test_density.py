@@ -165,6 +165,16 @@ class TestVerifyOrdering:
         assert rep["premise_info_preserved"] and rep["premise_length_reduced"]
         assert rep["status"] == "pass"
 
+    def test_tie_of_raw_and_best_predefined_fails_the_strict_inequality(self):
+        facts = [f"fact{i}" for i in range(10)]
+        raw = " ".join(facts + ["pad"] * 10)  # 10 facts in 20 tokens
+        table = " ".join(facts[:9] + ["hdr"] * 9)  # 9 facts in 18 tokens: both rho 0.5
+        rep = verify_ordering(instance(raw, [("Table", table)], facts))
+        assert rep["rho_raw"] == rep["max_predefined_rho"] == 0.5
+        assert rep["premise_info_preserved"] and rep["premise_length_reduced"]
+        assert not rep["left_inequality"]
+        assert rep["status"] == "fail"
+
     def test_inequality_failure_reported_not_raised(self):
         raw = "f1 q pad"  # rho 1/3
         sparse = "f1 q " + " ".join(["x"] * 8)  # shorter than raw? no: longer

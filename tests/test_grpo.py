@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from structrl.cli import DEFAULTS
 from structrl.grpo import (
-    ObjectiveConfig,
     TokenLogProbs,
     clipped_term,
     group_advantages,
@@ -183,7 +183,7 @@ class TestObjective:
             rewards = [float(x) for x in rng.uniform(0, 1.2, k)]
             vec = random_logprobs(rng, 4)[0]
             records.append(group_record(rewards, [(vec, vec, vec)] * k))
-        j, signals = objective(records, ObjectiveConfig(epsilon=0.2, beta=0.0))
+        j, signals = objective(records, {"epsilon": 0.2, "beta": 0.0})
         assert j == pytest.approx(0.0, abs=1e-12)
         for group in signals:
             for sig in group:
@@ -203,7 +203,7 @@ class TestObjective:
                 raw.append((rewards, lps))
             eps = float(rng.uniform(0.05, 0.5))
             beta = float(rng.uniform(0.0, 0.1))
-            j, _ = objective(records, ObjectiveConfig(epsilon=eps, beta=beta))
+            j, _ = objective(records, {"epsilon": eps, "beta": beta})
             expected = brute_force_objective(raw, eps, beta)
             assert j == pytest.approx(expected, rel=1e-9)
 
@@ -213,7 +213,7 @@ class TestObjective:
         record = group_record((1.0, 0.0, 0.5), [lp, None, lp])
         # an absent key reads as null does
         del record["pairs"][2]["logprobs"]
-        j, (group,) = objective([record], ObjectiveConfig(beta=0.1))
+        j, (group,) = objective([record], {**DEFAULTS, "beta": 0.1})
         assert [(s["ratio"], s["kl_term"]) for s in group[1:]] == [(1.0, 0.0), (1.0, 0.0)]
         empty = ((), (), ())
         assert j == pytest.approx(
@@ -225,7 +225,7 @@ class TestObjective:
         rewards = [float(x) for x in rng.uniform(0, 1, 4)]
         record = group_record(rewards, [random_logprobs(rng, 5) for _ in range(4)])
         values = [
-            objective([record], ObjectiveConfig(beta=b))[0]
+            objective([record], {**DEFAULTS, "beta": b})[0]
             for b in (0.0, 0.01, 0.1, 1.0)
         ]
         assert all(a >= b for a, b in zip(values, values[1:]))
@@ -235,10 +235,10 @@ class TestObjective:
         rewards = tuple(float(x) for x in rng.uniform(0, 1.2, 5))
         lps = [random_logprobs(rng, 4) for _ in range(5)]
         order = [3, 1, 4, 0, 2]
-        j1, _ = objective([group_record(rewards, lps)], ObjectiveConfig())
+        j1, _ = objective([group_record(rewards, lps)], DEFAULTS)
         j2, _ = objective(
             [group_record([rewards[i] for i in order], [lps[i] for i in order])],
-            ObjectiveConfig(),
+            DEFAULTS,
         )
         assert j1 == pytest.approx(j2, rel=1e-12)
 
@@ -250,11 +250,11 @@ class TestObjective:
     def test_config_out_of_range_rejected(self, field, value):
         message = "must be finite" if value == math.inf else "must be >= 0"
         with pytest.raises(ValueError, match=f"^{field} {message}, got {value}$"):
-            ObjectiveConfig(**{field: value})
+            objective([group_record((1.0,), [None])], {**DEFAULTS, field: value})
 
     def test_empty_groups_rejected(self):
         with pytest.raises(ValueError, match="objective needs at least one group"):
-            objective([], ObjectiveConfig())
+            objective([], DEFAULTS)
 
 
 class TestExport:
@@ -264,7 +264,7 @@ class TestExport:
             group_record((1.2, 0.0), [random_logprobs(rng, 3) for _ in range(2)], "q1"),
             group_record((0.5,), [None], "q2"),
         ]
-        _, signals = objective(records, ObjectiveConfig())
+        _, signals = objective(records, DEFAULTS)
         path = tmp_path / "signals.jsonl"
         with open(path, "w", encoding="utf-8") as fh:
             write_training_signals(fh, signals)

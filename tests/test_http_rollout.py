@@ -18,14 +18,22 @@ import pytest
 
 from structrl import backends
 from structrl.backends import HTTPBackend, MockBackend, SamplingParams, prompt_digest
-from structrl.cli import main
+from structrl.cli import DEFAULTS, main
 from structrl.dataset import QueryInstance
 from structrl.errors import BackendError
 from structrl.prompting import build_main_prompt
-from structrl.rollout import RolloutConfig, derive_seed, rollout_one
+from structrl.rollout import derive_seed, run_rollouts
+
+from test_streamed_artifacts import _versions
 
 DELAY_S = 0.01
 K = 4
+# sha256 of what the rollout below writes at --parallel 1, 2 and 4, with the
+# server's port in q3's 404 failure strings replaced by PORT
+PINS = {
+    "rollouts.jsonl": "e34b60c939a95c1e5c2e278d91213a9d62dd7eb6739659c84a032033d5ffce6d",
+    "training_signals.jsonl": "5eda916798e7bb2c510f746cdf951e959a78322f7a4302d9a705a8945a0bd7c1",
+}
 
 
 class Stub:
@@ -199,13 +207,19 @@ def test_output_is_byte_identical_at_every_parallelism(tmp_path, serve, capsys):
     finally:
         sys.setswitchinterval(interval)
     assert runs[1] == runs[2] == runs[4]
+    port = endpoint.split(":")[-1].split("/")[0]
+    digests = {
+        name: hashlib.sha256(data.replace(f":{port}/".encode(), b":PORT/")).hexdigest()
+        for name, data in runs[1].items()
+    }
+    assert digests == PINS, _versions()
     assert len(set(capsys.readouterr().out.splitlines())) == 1
     groups = [json.loads(line) for line in runs[1]["rollouts.jsonl"].splitlines()]
     assert [g["query"]["id"] for g in groups] == ["q0", "q1", "q2", "q3"]
     # the injected 503s were retried; the unmatched query failed without retries
     assert stub.injected > 0
     assert not any(p["failed"] for g in groups[:3] for p in g["pairs"])
-    assert all("404" in p["failure"] for p in groups[3]["pairs"])
+    assert all("404" in p["failure"] and endpoint in p["failure"] for p in groups[3]["pairs"])
     assert any(p["reinferred"] for g in groups for p in g["pairs"])
 
 
@@ -221,7 +235,7 @@ def test_samples_of_a_group_are_in_flight_together(tmp_path, serve):
 def test_only_transient_statuses_are_retried(serve, status, sent):
     endpoint, stub = serve(status)
     query = queries()[0]
-    group = rollout_one(query, 0, HTTPBackend(endpoint=endpoint), RolloutConfig(k=1))
+    (group,) = run_rollouts([query], {**DEFAULTS, "k": 1}, HTTPBackend(endpoint=endpoint))
     assert group.pairs[0].failed
     assert f"{status} " in group.pairs[0].failure
     assert stub.requests == sent
@@ -247,7 +261,7 @@ def test_malformed_payload_fails_the_sample_not_the_run(serve):
     # a null first log-prob, as servers that echo the prompt send it
     endpoint, stub = serve(200, b'{"choices": [{"text": "<answer> Rome </answer>", '
                                 b'"logprobs": {"token_logprobs": [null, -0.5]}}]}')
-    group = rollout_one(queries()[0], 0, HTTPBackend(endpoint=endpoint), RolloutConfig(k=K))
+    (group,) = run_rollouts(queries()[:1], {**DEFAULTS, "k": K}, HTTPBackend(endpoint=endpoint))
     assert len(group.pairs) == K
     for pair in group.pairs:
         assert pair.failed

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from structrl._textnorm import normalize_text
 from structrl.reward import (
-    LambdaSchedule,
     combined_reward,
     direct_reward,
     exact_match,
     f1,
     lambda_at,
+    parse_schedule,
     reinference_reward,
 )
 from structrl.trajectory import parse_trajectory
@@ -184,34 +184,30 @@ class TestCombinedReward:
         with pytest.raises(ValueError, match=f"^lambda {message}, got {value}$"):
             combined_reward(1.0, 1.0, value)
         with pytest.raises(ValueError, match=f"^lambda {message}, got {value}$"):
-            LambdaSchedule(0.0, value, 4)
+            parse_schedule(f"linear:0:{value}:4")
 
     def test_json_field_names(self):
         d = combined_reward(1.0, 0.0, 0.2).to_dict()
         assert d == {"direct": 1.0, "reinf": 0.0, "lambda": 0.2, "total": 1.0}
 
 
-class TestLambdaSchedule:
+class TestSchedule:
     def test_constant(self):
-        assert lambda_at(LambdaSchedule(0.2, 0.2, 1), 10_000) == 0.2
+        assert lambda_at((0.2, 0.2, 1), 10_000) == 0.2
 
-    def test_linear_midpoint(self):
-        sched = LambdaSchedule(0.0, 0.2, 100)
-        assert lambda_at(sched, 50) == pytest.approx(0.1)
+    @pytest.mark.parametrize("schedule, want", [((0.0, 0.2, 100), 0.1), ((0.1, 0.3, 4), 0.2)],
+                             ids=["from-zero", "from-above-zero"])
+    def test_linear_midpoint(self, schedule, want):
+        assert lambda_at(schedule, schedule[2] // 2) == pytest.approx(want)
 
     def test_linear_clamps_at_end(self):
-        sched = LambdaSchedule(0.0, 0.2, 100)
-        assert lambda_at(sched, 250) == pytest.approx(0.2)
+        assert lambda_at((0.0, 0.2, 100), 250) == pytest.approx(0.2)
 
     def test_zero_steps_rejected(self):
         with pytest.raises(ValueError, match="^lambda steps must be >= 1, got 0$"):
-            LambdaSchedule(0.0, 0.2, 0)
+            parse_schedule("linear:0:0.2:0")
 
     @given(st.integers(0, 10_000))
     def test_emitted_lambda_never_negative(self, step):
-        for sched in (
-            LambdaSchedule(0.2, 0.2, 1),
-            LambdaSchedule(0.0, 0.2, 100),
-            LambdaSchedule(0.3, 0.1, 7),
-        ):
+        for sched in ((0.2, 0.2, 1), (0.0, 0.2, 100), (0.3, 0.1, 7)):
             assert lambda_at(sched, step) >= 0.0

@@ -12,22 +12,21 @@ from hypothesis import strategies as st
 
 from structrl import rollout
 from structrl.backends import MockBackend, prompt_digest
-from structrl.cli import main
+from structrl.cli import DEFAULTS, main
 from structrl.dataset import QueryInstance
 from structrl.errors import BackendError
 from structrl.grpo import group_advantages
 from structrl.prompting import build_main_prompt
-from structrl.reward import LambdaSchedule, combined_reward
+from structrl.reward import combined_reward
 from structrl.rollout import (
-    RolloutConfig,
     derive_seed,
     read_rollout_jsonl,
     rescore_records,
-    rollout_one,
     run_rollouts,
     write_rollout_jsonl,
 )
 from structrl.trajectory import DocIndex
+
 
 QUESTION = (
     "Which film has the director born later, The Girl In Possession "
@@ -60,6 +59,12 @@ def golden_query(golden_docs, golden_golds):
     )
 
 
+def one_group(query, backend, **settings):
+    """The group of one query, at step 0, as ``run_rollouts`` assembles it."""
+    (group,) = run_rollouts([query], {**DEFAULTS, **settings}, backend)
+    return group
+
+
 class TestSeeds:
     def test_derived_seed_is_stable(self):
         assert derive_seed("q1", 0, 0) == derive_seed("q1", 0, 0)
@@ -77,9 +82,7 @@ class TestSeeds:
 class TestRolloutOne:
     def test_golden_group_rewards(self, tmp_path, golden_trace, golden_docs, golden_golds):
         backend = golden_backend(tmp_path, golden_trace)
-        group = rollout_one(
-            golden_query(golden_docs, golden_golds), 0, backend, RolloutConfig(k=4)
-        )
+        group = one_group(golden_query(golden_docs, golden_golds), backend, k=4)
         assert len(group.pairs) == 4
         for pair in group.pairs:
             assert pair.breakdown.direct == 1.0
@@ -93,7 +96,7 @@ class TestRolloutOne:
         rules = [{"contains": "Doc 1:", "response": "<think>easy</think><answer> Rome </answer>"}]
         (tmp_path / "rules.json").write_text(json.dumps(rules), "utf-8")
         query = QueryInstance("q", "capital?", ("some doc",), ("Rome",))
-        group = rollout_one(query, 0, MockBackend(tmp_path), RolloutConfig(k=2))
+        group = one_group(query, MockBackend(tmp_path), k=2)
         for pair in group.pairs:
             assert pair.reinferred is None
             assert pair.breakdown.reinf == 0.0
@@ -103,12 +106,12 @@ class TestRolloutOne:
         rules = [{"contains": "Doc 1:", "response": "<think>stuck</think>"}]
         (tmp_path / "rules.json").write_text(json.dumps(rules), "utf-8")
         query = QueryInstance("q", "capital?", ("some doc",), ("Rome",))
-        group = rollout_one(query, 0, MockBackend(tmp_path), RolloutConfig(k=2))
+        group = one_group(query, MockBackend(tmp_path), k=2)
         assert tuple(p.breakdown.total for p in group.pairs) == (0.0, 0.0)
 
     def test_backend_failure_flags_sample_keeps_group_size(self, tmp_path):
         query = QueryInstance("q", "capital?", ("some doc",), ("Rome",))
-        group = rollout_one(query, 0, MockBackend(tmp_path), RolloutConfig(k=3))
+        group = one_group(query, MockBackend(tmp_path), k=3)
         assert len(group.pairs) == 3
         for pair in group.pairs:
             assert pair.failed
@@ -121,7 +124,7 @@ class TestRolloutOne:
         original = backend.generate
         backend.generate = lambda prompt, sampling: calls.append(1) or original(prompt, sampling)
         query = QueryInstance("q", "capital?", ("some doc",), ("Rome",))
-        group = rollout_one(query, 0, backend, RolloutConfig(k=2, retries=2))
+        group = one_group(query, backend, k=2, retries=2)
         assert all(p.failed for p in group.pairs)
         assert len(calls) == 2
 
@@ -169,7 +172,7 @@ class TestRolloutOne:
         backend = golden_backend(tmp_path, golden_trace)
         golden = golden_query(golden_docs, golden_golds)
         queries = [dataclasses.replace(golden, id=f"case-{i}") for i in range(3)]
-        groups = list(run_rollouts(queries, RolloutConfig(k=4, parallel=parallel), backend))
+        groups = list(run_rollouts(queries, {**DEFAULTS, "k": 4, "parallel": parallel}, backend))
         assert len(builds) == len(queries)
         for query, group in zip(queries, groups):
             assert all(p.breakdown.reinf == 1.0 for p in group.pairs)
@@ -189,16 +192,14 @@ class TestRolloutOne:
                 return Generation("<answer> Rome </answer>", None)
 
         query = QueryInstance("q", "capital?", ("some doc",), ("Rome",))
-        ok = rollout_one(query, 0, Flaky(2), RolloutConfig(k=1, retries=2))
+        ok = one_group(query, Flaky(2), k=1, retries=2)
         assert not ok.pairs[0].failed
-        failed = rollout_one(query, 0, Flaky(2), RolloutConfig(k=1, retries=1))
+        failed = one_group(query, Flaky(2), k=1, retries=1)
         assert failed.pairs[0].failed
 
     def test_pair_serialization_shape(self, tmp_path, golden_trace, golden_docs, golden_golds):
         backend = golden_backend(tmp_path, golden_trace)
-        group = rollout_one(
-            golden_query(golden_docs, golden_golds), 0, backend, RolloutConfig(k=1)
-        )
+        group = one_group(golden_query(golden_docs, golden_golds), backend, k=1)
         d = group.to_dict()
         assert set(d) == {"query", "lambda", "step", "pairs", "advantages"}
         pair = d["pairs"][0]
@@ -234,7 +235,7 @@ class TestRunRollouts:
 
     def test_order_matches_dataset(self, tmp_path):
         backend = self._backend(tmp_path)
-        config = RolloutConfig(k=2, parallel=1)
+        config = {**DEFAULTS, "k": 2, "parallel": 1}
         groups = list(run_rollouts(self._dataset(), config, backend))
         assert [g.query.id for g in groups] == ["q0", "q1", "q2"]
         assert [g.step for g in groups] == [0, 1, 2]
@@ -243,11 +244,11 @@ class TestRunRollouts:
         backend = self._backend(tmp_path)
         serial = [
             g.to_dict()
-            for g in run_rollouts(self._dataset(), RolloutConfig(k=2, parallel=1), backend)
+            for g in run_rollouts(self._dataset(), {**DEFAULTS, "k": 2, "parallel": 1}, backend)
         ]
         parallel = [
             g.to_dict()
-            for g in run_rollouts(self._dataset(), RolloutConfig(k=2, parallel=4), backend)
+            for g in run_rollouts(self._dataset(), {**DEFAULTS, "k": 2, "parallel": 4}, backend)
         ]
         assert json.dumps(serial) == json.dumps(parallel)
 
@@ -267,16 +268,14 @@ class TestRunRollouts:
                     waits.append(q2_called.wait(timeout=5))
                 return backend.generate(prompt, sampling)
 
-        config = RolloutConfig(k=2, parallel=2)
+        config = {**DEFAULTS, "k": 2, "parallel": 2}
         groups = list(run_rollouts(self._dataset(), config, Straggling()))
         assert waits == [True, True]
         assert [g.query.id for g in groups] == ["q0", "q1", "q2"]
 
     def test_lambda_schedule_applied_per_step(self, tmp_path):
         backend = self._backend(tmp_path)
-        config = RolloutConfig(
-            k=1, lambda_schedule=LambdaSchedule(0.0, 0.2, 2)
-        )
+        config = {**DEFAULTS, "k": 1, "lambda": "linear:0:0.2:2"}
         groups = list(run_rollouts(self._dataset(), config, backend))
         assert [g.lambda_ for g in groups] == pytest.approx([0.0, 0.1, 0.2])
 
@@ -289,19 +288,21 @@ class TestRunRollouts:
          ("temperature", -0.5, "temperature must be >= 0, got -0.5"),
          ("temperature", math.nan, "temperature must be >= 0, got nan"),
          ("temperature", math.inf, "temperature must be finite, got inf"),
-         ("temperature", -math.inf, "temperature must be >= 0, got -inf")],
+         ("temperature", -math.inf, "temperature must be >= 0, got -inf"),
+         ("lambda", "linear:0:-0.2:4", "lambda must be >= 0, got -0.2")],
     )
-    def test_config_out_of_range_rejected(self, field, value, message):
+    def test_config_out_of_range_rejected(self, tmp_path, field, value, message):
+        backend = self._backend(tmp_path)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            RolloutConfig(**{field: value})
+            list(run_rollouts([], {**DEFAULTS, field: value}, backend))
 
     def test_empty_dataset_is_empty_stream(self, tmp_path):
         backend = self._backend(tmp_path)
-        assert list(run_rollouts([], RolloutConfig(), backend)) == []
+        assert list(run_rollouts([], DEFAULTS, backend)) == []
 
     def test_jsonl_round_trip_count(self, tmp_path):
         backend = self._backend(tmp_path)
-        groups = run_rollouts(self._dataset(), RolloutConfig(k=2), backend)
+        groups = run_rollouts(self._dataset(), {**DEFAULTS, "k": 2}, backend)
         path = tmp_path / "rollouts.jsonl"
         with open(path, "w", encoding="utf-8") as fh:
             n = write_rollout_jsonl(fh, [g.to_dict() for g in groups])
@@ -321,7 +322,7 @@ class TestRunRollouts:
         monkeypatch.setattr(DocIndex, "__init__", counting_init)
         backend = golden_backend(tmp_path, golden_trace, self._rules())
         queries = [golden_query(golden_docs, golden_golds), *self._dataset()]
-        groups = list(run_rollouts(queries, RolloutConfig(k=4), backend))
+        groups = list(run_rollouts(queries, {**DEFAULTS, "k": 4}, backend))
         # the golden query's samples carry formats, so both passes are validated
         assert all(p.reinferred_validation is not None for p in groups[0].pairs)
         assert builds == [q.docs for q in queries]
@@ -352,9 +353,7 @@ def mixed_rollout(tmp_path_factory, golden_trace, golden_docs, golden_golds):
 class TestRescore:
     def test_lambda_zero_collapses_to_direct(self, tmp_path, golden_trace, golden_docs, golden_golds):
         backend = golden_backend(tmp_path, golden_trace)
-        group = rollout_one(
-            golden_query(golden_docs, golden_golds), 0, backend, RolloutConfig(k=2)
-        )
+        group = one_group(golden_query(golden_docs, golden_golds), backend, k=2)
         records = [group.to_dict()]
         rescored = rescore_records(records, 0.0)
         for pair in rescored[0]["pairs"]:
@@ -363,9 +362,7 @@ class TestRescore:
 
     def test_rescoring_never_touches_generation(self, tmp_path, golden_trace, golden_docs, golden_golds):
         backend = golden_backend(tmp_path, golden_trace)
-        group = rollout_one(
-            golden_query(golden_docs, golden_golds), 0, backend, RolloutConfig(k=2)
-        )
+        group = one_group(golden_query(golden_docs, golden_golds), backend, k=2)
         records = [group.to_dict()]
         rescored = rescore_records(records, 0.5)
         assert rescored[0]["pairs"][0]["primary"] == records[0]["pairs"][0]["primary"]
@@ -374,9 +371,7 @@ class TestRescore:
     @pytest.fixture()
     def records(self, tmp_path, golden_trace, golden_docs, golden_golds):
         backend = golden_backend(tmp_path, golden_trace)
-        group = rollout_one(
-            golden_query(golden_docs, golden_golds), 0, backend, RolloutConfig(k=3)
-        )
+        group = one_group(golden_query(golden_docs, golden_golds), backend, k=3)
         record = json.loads(json.dumps(group.to_dict()))
         # a second group whose samples score differently, so advantages are not all 0
         other = copy.deepcopy(record)
@@ -434,7 +429,7 @@ class TestRescore:
         backend, queries = mixed_rollout
 
         def rollout_at(lambda_):
-            config = RolloutConfig(k=3, lambda_schedule=LambdaSchedule(lambda_, lambda_, 1))
+            config = {**DEFAULTS, "k": 3, "lambda": lambda_}
             return run_rollouts(queries, config, backend)
 
         with tempfile.TemporaryDirectory() as tmp:
